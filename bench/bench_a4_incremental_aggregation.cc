@@ -1,6 +1,5 @@
 // Ablation A4: cost of score aggregation — the paper's recompute-everything
-// 24-hour job (§3.2) versus the incremental dirty-set recompute, and the
-// single-threaded versus thread-pool compute fan-out.
+// 24-hour job (§3.2) versus the incremental dirty-set recompute.
 //
 // Emits BENCH_aggregation.json at the repo root (bench_util.h OutputPath). `--smoke` runs
 // only the smallest size with correctness self-checks (used by the
@@ -24,7 +23,7 @@
 #include "storage/database.h"
 #include "util/clock.h"
 #include "util/sha1.h"
-#include "util/thread_pool.h"
+#include "util/string_util.h"
 
 namespace pisrep::bench {
 namespace {
@@ -33,15 +32,11 @@ using core::SoftwareId;
 using core::SoftwareMeta;
 using server::AggregationStats;
 
-constexpr std::size_t kWorkers = 4;
-
 struct SizeResult {
   std::size_t votes = 0;
   std::size_t programs = 0;
   std::size_t users = 0;
-  std::int64_t full_single_micros = 0;
-  std::int64_t full_parallel_micros = 0;
-  std::size_t parallel_shards = 0;
+  std::int64_t full_micros = 0;
   std::int64_t incremental_micros = 0;
   std::size_t incremental_recomputed = 0;
   std::size_t incremental_candidates = 0;
@@ -49,10 +44,10 @@ struct SizeResult {
 
 SoftwareMeta ProgramMeta(std::size_t index, std::size_t vendors) {
   SoftwareMeta meta;
-  meta.id = util::Sha1::Hash("a4-program-" + std::to_string(index));
-  meta.file_name = "p" + std::to_string(index) + ".exe";
+  meta.id = util::Sha1::Hash(util::StrFormat("a4-program-%zu", index));
+  meta.file_name = util::StrFormat("p%zu.exe", index);
   meta.file_size = 4096;
-  meta.company = "vendor-" + std::to_string(index % vendors);
+  meta.company = util::StrFormat("vendor-%zu", index % vendors);
   meta.version = "1.0";
   return meta;
 }
@@ -85,7 +80,7 @@ class Fixture {
              "register software");
     }
     for (std::size_t u = 0; u < users_; ++u) {
-      std::string name = "u" + std::to_string(u);
+      std::string name = util::StrFormat("u%zu", u);
       MustOk(accounts_->Register(name, "password", name + "@a4.example", 0),
              "register user");
     }
@@ -185,26 +180,12 @@ SizeResult RunSize(std::size_t votes) {
   result.programs = fx.programs();
   result.users = fx.users();
 
-  // Full sweep, single-threaded (the paper's §3.2 job).
+  // Full sweep (the paper's §3.2 job).
   WallTimer timer;
   fx.job().RunOnce(util::kDay, /*full_sweep=*/true);
-  result.full_single_micros = timer.ElapsedMicros();
-  std::vector<core::SoftwareScore> single = fx.SnapshotScores();
+  result.full_micros = timer.ElapsedMicros();
 
-  // Full sweep again, fanned over the thread pool; must be bit-identical.
-  util::ThreadPool pool(kWorkers);
-  fx.job().set_thread_pool(&pool);
-  timer.Reset();
-  fx.job().RunOnce(util::kDay, /*full_sweep=*/true);
-  result.full_parallel_micros = timer.ElapsedMicros();
-  result.parallel_shards = fx.job().last_stats().shards;
-  if (!Fixture::SameScores(single, fx.SnapshotScores())) {
-    std::fprintf(stderr, "FAIL: parallel full sweep diverged from serial\n");
-    std::exit(1);
-  }
-
-  // Incremental: 1% of programs dirtied, single-threaded recompute.
-  fx.job().set_thread_pool(nullptr);
+  // Incremental: 1% of programs dirtied.
   fx.DirtyOnePercent();
   timer.Reset();
   fx.job().RunOnce(2 * util::kDay);
@@ -229,11 +210,9 @@ SizeResult RunSize(std::size_t votes) {
   }
 
   std::printf(
-      "  votes=%-8zu full=%8lldus  parallel=%8lldus (shards=%zu)  "
-      "incremental=%8lldus (%zu/%zu recomputed)\n",
-      votes, static_cast<long long>(result.full_single_micros),
-      static_cast<long long>(result.full_parallel_micros),
-      result.parallel_shards,
+      "  votes=%-8zu full=%8lldus  incremental=%8lldus "
+      "(%zu/%zu recomputed)\n",
+      votes, static_cast<long long>(result.full_micros),
       static_cast<long long>(result.incremental_micros),
       result.incremental_recomputed, result.incremental_candidates);
   return result;
@@ -247,56 +226,35 @@ void WriteJson(const std::vector<SizeResult>& results, bool smoke) {
     std::exit(1);
   }
   std::fprintf(out, "{\n  \"benchmark\": \"incremental_aggregation\",\n");
-  // Honesty flag: with fewer host cpus than pool workers the
-  // parallel_speedup column measures scheduling overhead, not speedup —
-  // downstream tooling must not quote it as one.
-  unsigned host_cpus = std::thread::hardware_concurrency();
-  std::fprintf(out,
-               "  \"workers\": %zu,\n  \"host_cpus\": %u,\n"
-               "  \"speedup_valid\": %s,\n  \"sizes\": [\n",
-               kWorkers, host_cpus,
-               host_cpus >= kWorkers ? "true" : "false");
+  std::fprintf(out, "  \"host_cpus\": %u,\n  \"sizes\": [\n",
+               std::thread::hardware_concurrency());
   for (std::size_t i = 0; i < results.size(); ++i) {
     const SizeResult& r = results[i];
-    double full = static_cast<double>(r.full_single_micros);
+    double full = static_cast<double>(r.full_micros);
     double inc = static_cast<double>(r.incremental_micros);
-    double par = static_cast<double>(r.full_parallel_micros);
     std::fprintf(
         out,
         "    {\"votes\": %zu, \"programs\": %zu, \"users\": %zu,\n"
-        "     \"full_single_micros\": %lld, \"full_parallel_micros\": %lld,\n"
-        "     \"parallel_shards\": %zu, \"incremental_micros\": %lld,\n"
+        "     \"full_micros\": %lld, \"incremental_micros\": %lld,\n"
         "     \"incremental_recomputed\": %zu, "
         "\"incremental_candidates\": %zu,\n"
-        "     \"full_over_incremental\": %.2f, "
-        "\"parallel_speedup\": %.2f}%s\n",
+        "     \"full_over_incremental\": %.2f}%s\n",
         r.votes, r.programs, r.users,
-        static_cast<long long>(r.full_single_micros),
-        static_cast<long long>(r.full_parallel_micros), r.parallel_shards,
+        static_cast<long long>(r.full_micros),
         static_cast<long long>(r.incremental_micros),
         r.incremental_recomputed, r.incremental_candidates,
-        inc > 0 ? full / inc : 0.0, par > 0 ? full / par : 0.0,
-        i + 1 < results.size() ? "," : "");
+        inc > 0 ? full / inc : 0.0, i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
 }
 
 int Main(bool smoke) {
-  Banner("A4: incremental + parallel aggregation vs full 24h recompute",
+  Banner("A4: incremental aggregation vs full 24h recompute",
          "§3.2 (daily aggregation job) — scaling ablation");
   std::vector<std::size_t> sizes =
       smoke ? std::vector<std::size_t>{10'000}
             : std::vector<std::size_t>{10'000, 100'000, 1'000'000};
-  unsigned host_cpus = std::thread::hardware_concurrency();
-  if (host_cpus < 2) {
-    // The pool still runs (and its output is still checked bit-identical),
-    // but its timing column can only measure scheduling overhead here.
-    std::printf(
-        "  note: host reports %u cpu(s); the parallel column measures pool "
-        "overhead, not speedup\n",
-        host_cpus);
-  }
   std::vector<SizeResult> results;
   for (std::size_t votes : sizes) results.push_back(RunSize(votes));
   WriteJson(results, smoke);
@@ -310,12 +268,12 @@ int Main(bool smoke) {
     // full sweep by a wide margin (it touches ~1% of the work).
     for (const SizeResult& r : results) {
       if (r.votes < 100'000) continue;
-      if (r.incremental_micros * 5 >= r.full_single_micros) {
+      if (r.incremental_micros * 5 >= r.full_micros) {
         std::fprintf(stderr,
                      "FAIL: incremental not >=5x faster at %zu votes "
                      "(full=%lldus incremental=%lldus)\n",
                      r.votes,
-                     static_cast<long long>(r.full_single_micros),
+                     static_cast<long long>(r.full_micros),
                      static_cast<long long>(r.incremental_micros));
         return 1;
       }

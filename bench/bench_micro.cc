@@ -23,6 +23,7 @@
 #include "util/random.h"
 #include "util/sha1.h"
 #include "util/sha256.h"
+#include "util/string_util.h"
 #include "xml/xml_parser.h"
 #include "xml/xml_writer.h"
 
@@ -257,10 +258,10 @@ void BM_AggregationJob(benchmark::State& state) {
   std::vector<core::SoftwareMeta> programs;
   for (int i = 0; i < 100; ++i) {
     core::SoftwareMeta meta;
-    meta.id = util::Sha1::Hash("bench-program-" + std::to_string(i));
-    meta.file_name = "p" + std::to_string(i) + ".exe";
+    meta.id = util::Sha1::Hash(util::StrFormat("bench-program-%d", i));
+    meta.file_name = util::StrFormat("p%d.exe", i);
     meta.file_size = 1000;
-    meta.company = "Vendor-" + std::to_string(i % 10);
+    meta.company = util::StrFormat("Vendor-%d", i % 10);
     meta.version = "1.0";
     programs.push_back(meta);
   }

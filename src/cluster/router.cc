@@ -100,8 +100,6 @@ Router::Router(net::SimNetwork* network, net::EventLoop* loop,
         metrics_->GetCounter("pisrep_proto_binary_requests_total");
     batched_requests_metric_ =
         metrics_->GetCounter("pisrep_rpc_batched_requests_total");
-    vendor_index_hits_metric_ =
-        metrics_->GetCounter("pisrep_cluster_vendor_index_hits_total");
     scatter_ms_ = metrics_->GetHistogram(
         "pisrep_cluster_router_scatter_ms",
         {10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0});
@@ -115,7 +113,6 @@ Status Router::Start() {
   PISREP_RETURN_IF_ERROR(network_->Bind(
       config_.service_address,
       [this](const net::Message& m) { HandleMessage(m); }));
-  if (config_.vendor_index_refresh > 0) ScheduleVendorIndexRefresh();
   return Status::Ok();
 }
 
@@ -293,20 +290,6 @@ void Router::ForwardTo(const std::string& shard, const std::string& method,
           std::string company =
               software ? software->AttributeOr("company", "") : "";
           if (!company.empty()) {
-            // Fast path: rewrite from the merged vendor index — no
-            // per-query scatter, the index was paid for once per refresh
-            // period. An unknown vendor (fresh, or no round published
-            // yet) falls back to the historical scatter.
-            if (std::optional<XmlNode> vendor = VendorNodeFromIndex(company);
-                vendor.has_value()) {
-              auto& children = result->children();
-              std::erase_if(children, [](const XmlNode& child) {
-                return child.name() == "vendor";
-              });
-              result->AddChild(*std::move(vendor));
-              Reply(client, id, std::move(result));
-              return;
-            }
             std::string session = request.ChildText("session").value_or("");
             MergeVendor(
                 session, company,
@@ -551,110 +534,6 @@ void Router::ScatterVendor(const net::Message& message,
               [this, client = message.from, id](Result<XmlNode> merged) {
                 Reply(client, id, std::move(merged));
               });
-}
-
-// ---------------------------------------------------------------------------
-// Vendor-index plane
-// ---------------------------------------------------------------------------
-
-std::optional<XmlNode> Router::VendorNodeFromIndex(
-    const std::string& vendor) {
-  std::shared_ptr<const VendorIndex> index =
-      vendor_index_.Load();
-  if (index == nullptr) {
-    // No complete round published yet: that is a scatter fallback too.
-    ++vendor_index_misses_;
-    return std::nullopt;
-  }
-  auto it = index->by_name.find(vendor);
-  if (it == index->by_name.end()) {
-    ++vendor_index_misses_;
-    return std::nullopt;
-  }
-  ++vendor_index_hits_;
-  if (vendor_index_hits_metric_) vendor_index_hits_metric_->Increment();
-  // Byte-identical to MergeVendor's merged node, pinned by cluster_test:
-  // the rewrite must not betray which path produced it.
-  XmlNode node("vendor");
-  node.SetAttribute("name", it->second.vendor);
-  node.SetAttribute("score", util::StrFormat("%.6f", it->second.score));
-  node.SetAttribute("count", std::to_string(it->second.software_count));
-  return node;
-}
-
-namespace {
-/// Accumulator shared by one vendor-index refresh round's legs.
-struct IndexScatter {
-  std::vector<std::optional<Result<XmlNode>>> results;
-  int pending = 0;
-};
-}  // namespace
-
-void Router::RefreshVendorIndex() {
-  std::vector<std::string> members = ring_.Members();
-  if (members.empty()) return;
-  auto scatter = std::make_shared<IndexScatter>();
-  scatter->results.resize(members.size());
-  scatter->pending = static_cast<int>(members.size());
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    rpc_.CallTo(
-        members[i], "QueryVendorIndex", XmlNode("r"),
-        [this, scatter, i, alive = std::weak_ptr<int>(alive_)](
-            Result<XmlNode> result) {
-          if (alive.expired()) return;
-          scatter->results[i] = std::move(result);
-          if (--scatter->pending > 0) return;
-          // Publish only a complete round: a partial index would misstate
-          // every vendor whose software the missing shard owns (the merge
-          // weights by per-shard counts). Until a round completes, the
-          // previous index keeps serving — vendors merely go stale, never
-          // wrong-by-omission.
-          VendorIndex merged;
-          std::unordered_map<std::string, double> weighted;
-          for (const auto& leg : scatter->results) {
-            if (!leg.has_value() || !leg->ok()) {
-              PISREP_LOG(kWarning)
-                  << "router: vendor-index refresh leg failed ("
-                  << (leg.has_value() ? leg->status().ToString()
-                                      : "no result")
-                  << "); keeping previous index";
-              return;
-            }
-            for (const XmlNode& child : (*leg)->children()) {
-              if (child.name() != "vendor") continue;
-              auto score = util::ParseDouble(child.AttributeOr("score", "0"));
-              auto count = util::ParseInt64(child.AttributeOr("count", "0"));
-              auto at =
-                  util::ParseInt64(child.AttributeOr("computed_at", "0"));
-              if (!score.ok() || !count.ok() || *count <= 0) continue;
-              std::string name = child.AttributeOr("name", "");
-              if (name.empty()) continue;
-              core::VendorScore& entry = merged.by_name[name];
-              entry.vendor = name;
-              entry.software_count += static_cast<int>(*count);
-              if (at.ok() && *at > entry.computed_at) entry.computed_at = *at;
-              weighted[name] += *score * static_cast<double>(*count);
-            }
-          }
-          for (auto& [name, entry] : merged.by_name) {
-            entry.score =
-                weighted[name] / static_cast<double>(entry.software_count);
-          }
-          vendor_index_.Store(
-              std::make_shared<const VendorIndex>(std::move(merged)));
-          ++vendor_index_refreshes_;
-        },
-        config_.call_timeout);
-  }
-}
-
-void Router::ScheduleVendorIndexRefresh() {
-  RefreshVendorIndex();
-  loop_->ScheduleAfter(config_.vendor_index_refresh,
-                       [this, alive = std::weak_ptr<int>(alive_)] {
-                         if (alive.expired()) return;
-                         ScheduleVendorIndexRefresh();
-                       });
 }
 
 // ---------------------------------------------------------------------------

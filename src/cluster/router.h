@@ -1,7 +1,6 @@
 #ifndef PISREP_CLUSTER_ROUTER_H_
 #define PISREP_CLUSTER_ROUTER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -12,12 +11,10 @@
 #include <vector>
 
 #include "cluster/hash_ring.h"
-#include "core/types.h"
 #include "net/rpc.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "proto/binary_codec.h"
-#include "util/atomic_shared_ptr.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -57,14 +54,6 @@ struct RouterConfig {
   /// WAL position yet answers differently is forced into snapshot resync.
   /// The client's response is never delayed. 0 disables.
   int read_fanout = 0;
-  /// Period of the vendor-index refresh. 0 keeps the historical per-query
-  /// QueryVendor scatter for QuerySoftware vendor-score rewrites; > 0
-  /// pulls each shard's snapshot-published vendor aggregates
-  /// (QueryVendorIndex) every period, merges them into an immutable index
-  /// published by one atomic pointer swap, and rewrites vendor scores from
-  /// that index with no per-query fan-out. Vendors absent from the index
-  /// (fresh vendor, shard mid-restart) fall back to the scatter.
-  util::Duration vendor_index_refresh = 0;
   /// Speak the compact binary codec on upstream shard calls (shards
   /// negotiate per frame, so this is safe to flip per router).
   bool upstream_binary = false;
@@ -127,17 +116,6 @@ class Router {
   std::uint64_t redirects_followed() const { return redirects_followed_; }
   /// Replicas detected serving a diverged score row and sent to resync.
   std::uint64_t read_repairs() const { return read_repairs_; }
-  /// Vendor rewrites answered from the merged index (no scatter) vs.
-  /// rewrites that fell back to the per-query scatter.
-  std::uint64_t vendor_index_hits() const { return vendor_index_hits_; }
-  std::uint64_t vendor_index_misses() const { return vendor_index_misses_; }
-  /// Completed vendor-index refresh rounds (all shards answered).
-  std::uint64_t vendor_index_refreshes() const {
-    return vendor_index_refreshes_;
-  }
-  /// Forces one vendor-index refresh round now (tests; normally the
-  /// periodic schedule drives this). No-op while the ring is empty.
-  void RefreshVendorIndexNow() { RefreshVendorIndex(); }
 
  private:
   /// One client-visible broadcast operation, fanned into N pipeline legs.
@@ -165,15 +143,6 @@ class Router {
   struct Pipeline {
     std::deque<PipelineItem> queue;
     bool busy = false;
-  };
-
-  /// Cluster-wide per-vendor aggregates, merged from every shard's
-  /// snapshot-published vendor scores. Immutable once published: readers
-  /// pin a version with one acquire load; the refresher swaps in a whole
-  /// new table with one release store (RCU — same discipline as the
-  /// server-side ScoreSnapshot, so the rewrite path takes no lock).
-  struct VendorIndex {
-    std::unordered_map<std::string, core::VendorScore> by_name;
   };
 
   void HandleMessage(const net::Message& message);
@@ -214,14 +183,6 @@ class Router {
   /// replicas against its primary for one software's score row.
   void StartReadRepair(const std::string& shard, const std::string& id_hex);
 
-  /// Vendor-index plane: one refresh round (scatter QueryVendorIndex to
-  /// all shards; publish the merged index only if every leg answered).
-  void RefreshVendorIndex();
-  void ScheduleVendorIndexRefresh();
-  /// The merged vendor node for `vendor`, or nullopt when the index has
-  /// no round published yet or does not know the vendor (scatter fallback).
-  std::optional<xml::XmlNode> VendorNodeFromIndex(const std::string& vendor);
-
   obs::Counter* ShardRequestCounter(const std::string& shard);
 
   net::SimNetwork* network_;
@@ -236,12 +197,6 @@ class Router {
   std::uint64_t requests_ = 0;
   std::uint64_t redirects_followed_ = 0;
   std::uint64_t read_repairs_ = 0;
-  std::uint64_t vendor_index_hits_ = 0;
-  std::uint64_t vendor_index_misses_ = 0;
-  std::uint64_t vendor_index_refreshes_ = 0;
-
-  /// Published merged index (null until the first complete refresh round).
-  util::AtomicSharedPtr<const VendorIndex> vendor_index_;
   /// The codec each client last spoke; replies go back in kind. XML when
   /// a client has never been seen (defensive — every reply follows a
   /// request, which records the codec first).
@@ -255,7 +210,6 @@ class Router {
   obs::Counter* read_repairs_metric_ = nullptr;
   obs::Counter* binary_requests_metric_ = nullptr;
   obs::Counter* batched_requests_metric_ = nullptr;
-  obs::Counter* vendor_index_hits_metric_ = nullptr;
   obs::Histogram* scatter_ms_ = nullptr;
 };
 

@@ -107,9 +107,8 @@ xml::XmlNode SoftwareMetaToXml(const core::SoftwareMeta& meta);
 
 /// Serializes a full QuerySoftware answer as the <result> element. This is
 /// the *single* definition of the response schema: the server's RPC
-/// handler, the snapshot read path and the serving benchmark all emit
-/// through it, so "bit-equivalent to the locked path" is a property of the
-/// data, not of three hand-synchronized serializers.
+/// handler emits through it, so two answers built from equal SoftwareInfo
+/// values are equal bytes.
 xml::XmlNode SoftwareInfoToXml(const SoftwareInfo& info);
 
 }  // namespace pisrep::proto

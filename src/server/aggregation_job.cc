@@ -19,7 +19,7 @@ std::string AggregationStats::Summary() const {
          " trust=" + std::to_string(dirty_trust) +
          " priors=" + std::to_string(dirty_priors) + "), " +
          std::to_string(vendors_recomputed) +
-         " vendors, shards=" + std::to_string(shards) + ", " +
+         " vendors, " +
          std::to_string(wall_micros) + "us";
 }
 
@@ -144,10 +144,10 @@ std::size_t AggregationJob::RunOnce(util::TimePoint now, bool full_sweep) {
 
   // When the run will touch more votes than there are accounts, snapshot
   // every trust factor in one users-table scan up front. Per-vote
-  // TrustFactor() copies a full account row (five string columns) per call;
-  // under the pool those copies all contend on the allocator and eat the
-  // parallel speedup. The map holds the same live values a per-vote lookup
-  // would see (nothing mutates accounts mid-run), so output is unchanged.
+  // TrustFactor() copies a full account row (five string columns) per call,
+  // which dominates large runs. The map holds the same live values a
+  // per-vote lookup would see (nothing mutates accounts mid-run), so output
+  // is unchanged.
   std::unordered_map<core::UserId, double> trust_cache;
   bool use_trust_cache = false;
   if (trust_weighting_) {
@@ -161,10 +161,9 @@ std::size_t AggregationJob::RunOnce(util::TimePoint now, bool full_sweep) {
     }
   }
 
-  // Phase 1 — pure compute, fanned out across the pool when one is
-  // attached. Workers only *read* (votes, trust factors, priors) and write
-  // disjoint slots of a pre-sized results vector; per-software arithmetic
-  // order never changes, so parallel output is bit-identical to serial.
+  // Per-software compute reads votes, trust factors and the target's own
+  // prior; PutScore writes only the target's score, so each score can be
+  // written as soon as it is computed.
   auto compute = [&](const core::SoftwareId& software) {
     std::vector<core::WeightedVote> weighted;
     weighted.reserve(votes_->VoteCountFor(software) + 1);
@@ -207,36 +206,17 @@ std::size_t AggregationJob::RunOnce(util::TimePoint now, bool full_sweep) {
     return score;
   };
 
-  std::vector<core::SoftwareScore> results(targets.size());
-  if (pool_ != nullptr && targets.size() > 1) {
-    std::size_t shards = std::min(targets.size(), pool_->size());
-    std::size_t chunk = (targets.size() + shards - 1) / shards;
-    stats_.shards = (targets.size() + chunk - 1) / chunk;
-    pool_->ParallelFor(targets.size(),
-                       [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t i = begin; i < end; ++i) {
-                           results[i] = compute(targets[i]);
-                         }
-                       });
-  } else {
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      results[i] = compute(targets[i]);
-    }
-  }
-
-  // Phase 2 — writes, sequential on the calling thread in target order
-  // (storage::Database is single-writer).
   std::size_t recomputed = 0;
   if (collect_recomputed_) stats_.recomputed_ids.reserve(targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    util::Status put = registry_->PutScore(results[i]);
+  for (const core::SoftwareId& software : targets) {
+    util::Status put = registry_->PutScore(compute(software));
     if (!put.ok()) {
-      PISREP_LOG(kWarning) << "aggregation: PutScore("
-                           << targets[i].ToHex() << ") failed: " << put;
+      PISREP_LOG(kWarning) << "aggregation: PutScore(" << software.ToHex()
+                           << ") failed: " << put;
       continue;
     }
     ++recomputed;
-    if (collect_recomputed_) stats_.recomputed_ids.push_back(targets[i]);
+    if (collect_recomputed_) stats_.recomputed_ids.push_back(software);
   }
   stats_.recomputed = recomputed;
   stats_.skipped = stats_.candidates - std::min(stats_.candidates,

@@ -15,7 +15,6 @@
 #include "server/account_manager.h"
 #include "server/software_registry.h"
 #include "server/vote_store.h"
-#include "util/thread_pool.h"
 
 namespace pisrep::server {
 
@@ -31,7 +30,6 @@ struct AggregationStats {
   std::size_t dirty_trust = 0;  ///< dirtied via a voter's trust change
   std::size_t dirty_priors = 0; ///< dirtied by a bootstrap-prior write
   std::size_t vendors_recomputed = 0;
-  std::size_t shards = 1;       ///< parallel chunks the compute fanned over
   std::int64_t wall_micros = 0; ///< real elapsed time (instrumentation only)
   /// Software whose score write landed this run, in write order. Filled
   /// only when AggregationJob::set_collect_recomputed is on (the tiered
@@ -65,12 +63,9 @@ struct AggregationStats {
 /// (set_full_sweep_every), and an unconditional full sweep on a job's first
 /// run (dirty state is in-memory and lost on restart) guard against drift.
 ///
-/// Parallelism: per-software gather+aggregate is read-only over the
-/// database and fans out across a util::ThreadPool when one is attached;
-/// every write (PutScore / PutVendorScore) happens on the calling thread —
-/// storage::Database stays single-writer, and results are byte-identical
-/// to the sequential path because per-software arithmetic order never
-/// changes.
+/// The job runs on the calling thread (the server's event-loop thread for
+/// scheduled runs): storage::Database is single-writer, and each score is
+/// computed and written before the next target is read.
 class AggregationJob {
  public:
   /// Every Nth scheduled run is widened to a full sweep by default.
@@ -83,11 +78,6 @@ class AggregationJob {
   /// voter's trust factor (the §2.1 "unweighted" baseline).
   void set_trust_weighting(bool enabled) { trust_weighting_ = enabled; }
   bool trust_weighting() const { return trust_weighting_; }
-
-  /// Attaches a worker pool for the compute fan-out (not owned; must
-  /// outlive the job or be detached with nullptr). Null means compute
-  /// inline on the calling thread.
-  void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
 
   /// Forces a full sweep every `n` runs; 0 disables the periodic guard
   /// (the first run and the explicit escape hatch still sweep fully).
@@ -156,7 +146,6 @@ class AggregationJob {
   VoteStore* votes_;
   AccountManager* accounts_;
   bool trust_weighting_ = true;
-  util::ThreadPool* pool_ = nullptr;
   std::uint64_t full_sweep_every_ = kDefaultFullSweepEvery;
   bool force_full_sweep_ = false;
   bool collect_recomputed_ = false;

@@ -1,6 +1,5 @@
 #include "server/reputation_server.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/hex.h"
@@ -59,11 +58,6 @@ ReputationServer::ReputationServer(storage::Database* db,
   aggregation_.set_trust_weighting(config_.trust_weighting);
   aggregation_.set_full_sweep_every(config_.aggregation_full_sweep_every);
   aggregation_.set_force_full_sweep(config_.aggregation_force_full_sweep);
-  if (config_.aggregation_workers > 0) {
-    aggregation_pool_ =
-        std::make_unique<util::ThreadPool>(config_.aggregation_workers);
-    aggregation_.set_thread_pool(aggregation_pool_.get());
-  }
   if (config_.metrics != nullptr || config_.tracer != nullptr) {
     votes_.AttachMetrics(config_.metrics);
     flood_.AttachMetrics(config_.metrics);
@@ -230,81 +224,39 @@ Result<SoftwareInfo> ReputationServer::QuerySoftware(
   PISREP_RETURN_IF_ERROR(accounts_.Authenticate(session).status());
   ++stats_.queries;
 
-  if (config_.snapshot_reads) {
-    std::shared_ptr<const ScoreSnapshot> snapshot = snapshot_.Current();
-    if (snapshot != nullptr &&
-        snapshot->registry_generation == registry_.content_generation() &&
-        snapshot->votes_generation == votes_.content_generation()) {
-      // Nothing changed since publication: the snapshot answer is
-      // bit-identical to what the store walk below would produce, minus
-      // the walk. Any mutation bumps a generation and forces the slow
-      // path until the next publication re-arms the gate.
-      ++stats_.snapshot_hits;
-      if (snapshot_hits_metric_) snapshot_hits_metric_->Increment();
-      if (snapshot_age_gauge_) {
-        snapshot_age_gauge_->Set(Now() - snapshot->published_at);
-      }
-      SoftwareInfo info = LookupSnapshotInfo(*snapshot, id);
-      AnnotateManifest(&info);
-      return info;
+  SoftwareInfo info;
+  if (snapshot_->registry_generation == registry_.content_generation() &&
+      snapshot_->votes_generation == votes_.content_generation()) {
+    // Nothing changed since publication: the snapshot holds exactly what
+    // the live stores would answer. Any mutation bumps a generation and
+    // sends queries to the stores until the next publication.
+    ++stats_.snapshot_hits;
+    if (snapshot_hits_metric_) snapshot_hits_metric_->Increment();
+    if (snapshot_age_gauge_) {
+      snapshot_age_gauge_->Set(Now() - snapshot_->published_at);
     }
+    info = LookupSnapshotInfo(*snapshot_, id);
+  } else {
     ++stats_.snapshot_misses;
     if (snapshot_misses_metric_) snapshot_misses_metric_->Increment();
+    info = MaterializeSoftwareInfo(registry_, votes_, SnapshotOptions(), id);
   }
-
-  SoftwareInfo info;
-  // Run statistics attach to the digest and exist even before the first
-  // rating registers the software.
-  info.run_count = registry_.RunCount(id);
-  auto meta = registry_.GetSoftware(id);
-  if (!meta.ok()) {
-    info.meta.id = id;
-    info.known = false;
-    AnnotateManifest(&info);
-    return info;
-  }
-  info.meta = *meta;
-  info.known = true;
-  auto score = registry_.GetScore(id);
-  if (score.ok()) info.score = *score;
-  if (!info.meta.company.empty()) {
-    auto vendor = registry_.GetVendorScore(info.meta.company);
-    if (vendor.ok()) info.vendor_score = *vendor;
-  }
-  info.reported_behaviors =
-      registry_.ReportedBehaviors(id, config_.behavior_report_threshold);
-  info.comments = votes_.VisibleComments(id, config_.max_comments_per_query);
   AnnotateManifest(&info);
   return info;
 }
 
-Result<SoftwareInfo> ReputationServer::QuerySoftwareSnapshot(
-    std::string_view session, const SoftwareId& id) const {
-  // Lock-free from the first instruction: the COW session table and the
-  // published snapshot are both read through one acquire load each, and
-  // the snapshot shared_ptr pins the epoch for the whole read.
-  PISREP_RETURN_IF_ERROR(accounts_.AuthenticateShared(session).status());
-  std::shared_ptr<const ScoreSnapshot> snapshot = snapshot_.Current();
-  if (snapshot == nullptr) {
-    return util::Status::Unavailable("no score snapshot published");
-  }
-  snapshot_queries_.fetch_add(1, std::memory_order_relaxed);
-  if (snapshot_hits_metric_) snapshot_hits_metric_->Increment();
-  SoftwareInfo info = LookupSnapshotInfo(*snapshot, id);
-  AnnotateManifest(&info);
-  return info;
-}
-
-void ReputationServer::PublishSnapshot() {
-  if (!config_.snapshot_reads) return;
+SnapshotBuildOptions ReputationServer::SnapshotOptions() const {
   SnapshotBuildOptions options;
   options.max_comments_per_query = config_.max_comments_per_query;
   options.behavior_report_threshold = config_.behavior_report_threshold;
-  std::shared_ptr<const ScoreSnapshot> snapshot = BuildScoreSnapshot(
-      registry_, votes_, options, ++snapshot_epoch_, Now());
-  snapshot_.Publish(snapshot);
+  return options;
+}
+
+void ReputationServer::PublishSnapshot() {
+  snapshot_ = BuildScoreSnapshot(registry_, votes_, SnapshotOptions(),
+                                 ++snapshot_epoch_, Now());
   if (snapshot_epoch_gauge_) {
-    snapshot_epoch_gauge_->Set(static_cast<std::int64_t>(snapshot->epoch));
+    snapshot_epoch_gauge_->Set(static_cast<std::int64_t>(snapshot_->epoch));
   }
   if (snapshot_age_gauge_) snapshot_age_gauge_->Set(0);
 }
@@ -404,12 +356,10 @@ void ReputationServer::AuditAppend(std::string_view kind,
 }
 
 void ReputationServer::AnnotateManifest(SoftwareInfo* info) const {
-  auto index = manifests_.Snapshot();
-  if (index == nullptr) return;
-  auto it = index->find(info->meta.id);
-  if (it == index->end()) return;
+  const trust::SoftwareManifest* manifest = manifests_.Find(info->meta.id);
+  if (manifest == nullptr) return;
   info->vendor_signed = true;
-  info->signed_vendor = it->second.vendor;
+  info->signed_vendor = manifest->vendor;
 }
 
 Status ReputationServer::SubmitManifest(
@@ -810,42 +760,6 @@ void ReputationServer::RegisterRpcMethods() {
         result.SetAttribute(
             "checkpoint_index",
             std::to_string(audit_->last_checkpoint_index()));
-        return result;
-      });
-
-  // Cluster-internal: the router pulls every vendor aggregate this shard
-  // has published so it can rewrite vendor scores locally instead of
-  // scattering per query. Unauthenticated like the replication-plane
-  // methods — the payload is exactly the aggregates QueryVendor already
-  // serves, with no per-user data. Vendors are emitted sorted by name so
-  // the response bytes are deterministic regardless of map iteration
-  // order (pinned by cluster_test).
-  rpc_->RegisterMethod(
-      "QueryVendorIndex", [this](const XmlNode&) -> Result<XmlNode> {
-        std::shared_ptr<const ScoreSnapshot> snapshot = snapshot_.Current();
-        if (snapshot == nullptr) {
-          return Status::Unavailable("no score snapshot published");
-        }
-        std::vector<const core::VendorScore*> vendors;
-        vendors.reserve(snapshot->by_vendor.size());
-        for (const auto& [id, score] : snapshot->by_vendor) {
-          vendors.push_back(&score);
-        }
-        std::sort(vendors.begin(), vendors.end(),
-                  [](const core::VendorScore* a, const core::VendorScore* b) {
-                    return a->vendor < b->vendor;
-                  });
-        XmlNode result("result");
-        result.SetAttribute("epoch", std::to_string(snapshot->epoch));
-        for (const core::VendorScore* score : vendors) {
-          XmlNode& node = result.AddChild("vendor");
-          node.SetAttribute("name", score->vendor);
-          node.SetAttribute("score", util::StrFormat("%.6f", score->score));
-          node.SetAttribute("count",
-                            std::to_string(score->software_count));
-          node.SetAttribute("computed_at",
-                            std::to_string(score->computed_at));
-        }
         return result;
       });
 }

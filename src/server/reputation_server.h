@@ -1,7 +1,6 @@
 #ifndef PISREP_SERVER_REPUTATION_SERVER_H_
 #define PISREP_SERVER_REPUTATION_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -33,7 +32,6 @@
 #include "trust/audit_log.h"
 #include "trust/manifest_store.h"
 #include "trust/signed_statement.h"
-#include "util/thread_pool.h"
 
 namespace pisrep::server {
 
@@ -110,10 +108,6 @@ class ReputationServer {
     /// lose meta-moderation (remarks need linkable authorship).
     bool pseudonymous_votes = false;
     std::string pseudonym_secret = "pisrep-pseudonym-secret";
-    /// Worker threads for the aggregation compute fan-out. 0 keeps the
-    /// job on the calling thread (deterministic single-threaded default
-    /// for simulations; results are identical either way).
-    std::size_t aggregation_workers = 0;
     /// Every Nth aggregation run is widened to a full sweep (drift
     /// guard); 0 disables the periodic guard. Per-server (and therefore
     /// per-shard in a cluster): shards of different sizes can sweep on
@@ -124,15 +118,6 @@ class ReputationServer {
     /// sweep. Per-shard config like the cadence above; default off keeps
     /// single-server output bit-identical.
     bool aggregation_force_full_sweep = false;
-    /// Epoch-snapshot read path (DESIGN.md §14). When true the server
-    /// publishes an immutable ScoreSnapshot at construction and after
-    /// every aggregation run; QuerySoftware serves from it — no mutex, no
-    /// store walk — whenever no content mutation happened since
-    /// publication, and falls back to the live stores otherwise (so
-    /// answers stay bit-identical to the historical behaviour either
-    /// way). QuerySoftwareSnapshot additionally offers the always-snapshot
-    /// thread-safe path for concurrent readers.
-    bool snapshot_reads = true;
     /// How often the tiered storage engine's eviction schedule runs
     /// (storage::Database::TierTick: fault promotion, age/LRU demotion,
     /// cold-store GC) when the database is tiered and a loop is attached.
@@ -199,29 +184,22 @@ class ReputationServer {
                                   std::string_view password,
                                   util::TimePoint now);
 
-  /// Looks up everything known about a software id.
+  /// Looks up everything known about a software id. Served from the
+  /// published ScoreSnapshot while no store content changed since its
+  /// publication (DESIGN.md §14), otherwise from the live stores; the
+  /// answer is the same either way.
   util::Result<SoftwareInfo> QuerySoftware(std::string_view session,
                                            const core::SoftwareId& id);
 
-  /// Lock-free QuerySoftware against the published epoch snapshot: safe to
-  /// call from any thread concurrently with writers on the loop thread.
-  /// Serves whatever epoch is current (answers may trail unaggregated
-  /// mutations until the next publication — RCU semantics); fails
-  /// kUnavailable before the first publication. Touches no mutex, no event
-  /// loop and no store; the only allocation is the response copy.
-  util::Result<SoftwareInfo> QuerySoftwareSnapshot(
-      std::string_view session, const core::SoftwareId& id) const;
-
-  /// The published snapshot, or null before the first publication. Readers
-  /// hold the shared_ptr while reading and thereby pin their epoch.
+  /// The published snapshot (one exists from construction on). A caller
+  /// holding the shared_ptr keeps its epoch across later publications.
   std::shared_ptr<const ScoreSnapshot> CurrentSnapshot() const {
-    return snapshot_.Current();
+    return snapshot_;
   }
 
   /// Rebuilds and publishes the snapshot from current store contents.
   /// Called automatically at construction and after every aggregation
-  /// run; exposed for benches that mutate stores directly. No-op when
-  /// `snapshot_reads` is off.
+  /// run; exposed for benches that mutate stores directly.
   void PublishSnapshot();
 
   /// Runs one tiered-storage eviction pass now (the scheduled tick calls
@@ -237,12 +215,6 @@ class ReputationServer {
 
   /// Score rows currently pinned resident for the published snapshot.
   std::size_t pinned_score_count() const { return pinned_scores_.size(); }
-
-  /// Calls answered by QuerySoftwareSnapshot (its own counter: the shared
-  /// ServerStats are deliberately not touched from concurrent readers).
-  std::uint64_t snapshot_queries() const {
-    return snapshot_queries_.load(std::memory_order_relaxed);
-  }
 
   /// Submits a rating (registering the software from `meta` if new).
   util::Status SubmitRating(std::string_view session,
@@ -350,13 +322,12 @@ class ReputationServer {
   void AuditAppend(std::string_view kind, std::string_view payload);
   /// Adds the verified-manifest facts to a QuerySoftware answer.
   void AnnotateManifest(SoftwareInfo* info) const;
+  /// The Config knobs that shape a QuerySoftware answer.
+  SnapshotBuildOptions SnapshotOptions() const;
 
   Config config_;
   storage::Database* db_;
   net::EventLoop* loop_;
-  /// Declared before aggregation_ so the pool outlives the job that uses
-  /// it. Null when aggregation_workers == 0.
-  std::unique_ptr<util::ThreadPool> aggregation_pool_;
   AccountManager accounts_;
   SoftwareRegistry registry_;
   VoteStore votes_;
@@ -373,12 +344,9 @@ class ReputationServer {
   std::unordered_map<std::string, ActivationMail> mailbox_;
   std::unique_ptr<net::RpcServer> rpc_;
   ServerStats stats_;
-  /// Epoch-snapshot read path (DESIGN.md §14). The publisher is the only
-  /// cross-thread surface; everything feeding it runs on the loop thread.
-  SnapshotPublisher snapshot_;
+  /// Epoch-snapshot read path (DESIGN.md §14).
+  std::shared_ptr<const ScoreSnapshot> snapshot_;
   std::uint64_t snapshot_epoch_ = 0;
-  /// QuerySoftwareSnapshot call counter (relaxed: it is a statistic).
-  mutable std::atomic<std::uint64_t> snapshot_queries_{0};
   obs::Gauge* snapshot_age_gauge_ = nullptr;
   obs::Gauge* snapshot_epoch_gauge_ = nullptr;
   obs::Counter* snapshot_hits_metric_ = nullptr;

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "util/logging.h"
-
 namespace pisrep::server {
 
 proto::SoftwareInfo LookupSnapshotInfo(const ScoreSnapshot& snapshot,
@@ -18,6 +16,32 @@ proto::SoftwareInfo LookupSnapshotInfo(const ScoreSnapshot& snapshot,
   return info;
 }
 
+proto::SoftwareInfo MaterializeSoftwareInfo(const SoftwareRegistry& registry,
+                                            const VoteStore& votes,
+                                            const SnapshotBuildOptions& options,
+                                            const core::SoftwareId& id) {
+  proto::SoftwareInfo info;
+  info.run_count = registry.RunCount(id);
+  auto meta = registry.GetSoftware(id);
+  if (!meta.ok()) {
+    info.meta.id = id;
+    info.known = false;
+    return info;
+  }
+  info.meta = *std::move(meta);
+  info.known = true;
+  auto score = registry.GetScore(id);
+  if (score.ok()) info.score = *score;
+  if (!info.meta.company.empty()) {
+    auto vendor = registry.GetVendorScore(info.meta.company);
+    if (vendor.ok()) info.vendor_score = *vendor;
+  }
+  info.reported_behaviors =
+      registry.ReportedBehaviors(id, options.behavior_report_threshold);
+  info.comments = votes.VisibleComments(id, options.max_comments_per_query);
+  return info;
+}
+
 std::shared_ptr<const ScoreSnapshot> BuildScoreSnapshot(
     const SoftwareRegistry& registry, const VoteStore& votes,
     const SnapshotBuildOptions& options, std::uint64_t epoch,
@@ -25,51 +49,16 @@ std::shared_ptr<const ScoreSnapshot> BuildScoreSnapshot(
   auto snapshot = std::make_shared<ScoreSnapshot>();
   snapshot->epoch = epoch;
   snapshot->published_at = now;
-  // Generations are read before the tables: a mutation racing the build
-  // could only make the snapshot look *staler* than it is (a harmless
-  // extra miss), never fresher. In practice builds run on the single
-  // writer thread anyway.
   snapshot->registry_generation = registry.content_generation();
   snapshot->votes_generation = votes.content_generation();
-
-  // Registered software, materialized through the same accessors the slow
-  // path reads — equivalence is structural, not re-implemented.
   for (const core::SoftwareId& id : registry.AllSoftware()) {
-    proto::SoftwareInfo info;
-    info.run_count = registry.RunCount(id);
-    auto meta = registry.GetSoftware(id);
-    PISREP_CHECK(meta.ok()) << "software listed but not readable";
-    info.meta = *meta;
-    info.known = true;
-    auto score = registry.GetScore(id);
-    if (score.ok()) info.score = *score;
-    if (!info.meta.company.empty()) {
-      auto vendor = registry.GetVendorScore(info.meta.company);
-      if (vendor.ok()) info.vendor_score = *vendor;
-    }
-    info.reported_behaviors =
-        registry.ReportedBehaviors(id, options.behavior_report_threshold);
-    info.comments =
-        votes.VisibleComments(id, options.max_comments_per_query);
-    snapshot->by_software.emplace(id, std::move(info));
+    snapshot->by_software.emplace(
+        id, MaterializeSoftwareInfo(registry, votes, options, id));
   }
-
-  // Run statistics attach to bare digests before any registration; the
-  // slow path answers those with known=false plus the counter, so the
-  // snapshot must too.
   for (const auto& [id, runs] : registry.AllRunCounts()) {
-    if (snapshot->by_software.find(id) != snapshot->by_software.end()) {
-      continue;
-    }
-    proto::SoftwareInfo info;
-    info.meta.id = id;
-    info.known = false;
-    info.run_count = runs;
-    snapshot->by_software.emplace(id, std::move(info));
-  }
-
-  for (const core::VendorScore& vendor : registry.AllVendorScores()) {
-    snapshot->by_vendor.emplace(vendor.vendor, vendor);
+    if (snapshot->by_software.count(id) != 0) continue;
+    snapshot->by_software.emplace(
+        id, MaterializeSoftwareInfo(registry, votes, options, id));
   }
   return snapshot;
 }

@@ -9,21 +9,15 @@
 #include "proto/wire.h"
 #include "server/software_registry.h"
 #include "server/vote_store.h"
-#include "util/atomic_shared_ptr.h"
 #include "util/clock.h"
 
 namespace pisrep::server {
 
 /// An immutable, epoch-numbered materialization of everything the read
-/// path serves (DESIGN.md §14): every digest's full QuerySoftware answer
-/// and every vendor's aggregate score, frozen at publication time.
-///
-/// RCU discipline: a ScoreSnapshot is built off to the side, published via
-/// one atomic shared-pointer swap (SnapshotPublisher) and never modified
-/// afterwards. Readers that grabbed the previous snapshot keep a reference
-/// and finish against a consistent epoch; the last reference reclaims it.
-/// Readers therefore never block the writer and the writer never blocks
-/// readers — there is no lock to take on either side.
+/// path serves (DESIGN.md §14): every digest's full QuerySoftware answer,
+/// frozen at publication time. Built and read on the server's loop thread;
+/// a caller that holds the shared_ptr keeps its epoch after the next
+/// publication replaces it.
 struct ScoreSnapshot {
   /// 1-based publication counter (monotonic per server).
   std::uint64_t epoch = 0;
@@ -31,8 +25,7 @@ struct ScoreSnapshot {
   util::TimePoint published_at = 0;
   /// Content generations of the two mutable stores at build time. The
   /// gated read path serves from the snapshot only while these still match
-  /// the live stores, which keeps single-threaded callers bit-compatible
-  /// with the historical always-fresh behaviour.
+  /// the live stores, so a hit answers exactly what the stores would.
   std::uint64_t registry_generation = 0;
   std::uint64_t votes_generation = 0;
 
@@ -42,57 +35,36 @@ struct ScoreSnapshot {
   std::unordered_map<core::SoftwareId, proto::SoftwareInfo,
                      core::SoftwareIdHash>
       by_software;
-  /// Vendor → aggregate score: the vendor index the cluster router's
-  /// QuerySoftware vendor-rewrite and QueryVendor serve from.
-  std::unordered_map<core::VendorId, core::VendorScore> by_vendor;
 };
 
-/// The answer the snapshot gives for `id` — identical in shape to the slow
-/// path: a full entry when the digest is known, otherwise an empty
-/// known=false record carrying the digest. Shared by the server read path,
-/// the consistency property test and the serving benchmark so all three
-/// agree on the semantics by construction.
+/// The answer the snapshot gives for `id`: its materialized entry when the
+/// digest is known, otherwise an empty known=false record carrying the
+/// digest — the same answer MaterializeSoftwareInfo gives for it.
 proto::SoftwareInfo LookupSnapshotInfo(const ScoreSnapshot& snapshot,
                                        const core::SoftwareId& id);
 
-/// Freshness-relevant knobs copied from ReputationServer::Config; the
-/// snapshot must materialize comments and behaviours exactly as the slow
-/// path would render them.
+/// Rendering knobs copied from ReputationServer::Config.
 struct SnapshotBuildOptions {
   std::size_t max_comments_per_query = 10;
   int behavior_report_threshold = 2;
 };
 
-/// Materializes a snapshot from the live stores through the same accessors
-/// the slow path uses (structural equivalence, not a parallel
-/// implementation). Runs on the writer thread; the result is immutable.
+/// The QuerySoftware answer for `id`, read from the live stores: a full
+/// entry when the digest is registered, otherwise a known=false record
+/// carrying the digest and its run count (run statistics attach before
+/// any registration). The snapshot build and the read path's gate-miss
+/// branch both answer through this one function.
+proto::SoftwareInfo MaterializeSoftwareInfo(const SoftwareRegistry& registry,
+                                            const VoteStore& votes,
+                                            const SnapshotBuildOptions& options,
+                                            const core::SoftwareId& id);
+
+/// Materializes a snapshot of every registered or run-counted digest from
+/// the live stores. The result is immutable.
 std::shared_ptr<const ScoreSnapshot> BuildScoreSnapshot(
     const SoftwareRegistry& registry, const VoteStore& votes,
     const SnapshotBuildOptions& options, std::uint64_t epoch,
     util::TimePoint now);
-
-/// The single atomic publication point. Writers Publish a freshly built
-/// snapshot (release); readers Current() it (acquire) and hold the
-/// shared_ptr for the duration of their read. No mutex anywhere: the
-/// atomic shared-pointer swap *is* the entire synchronization protocol,
-/// which is why the read path carries no GUARDED_BY obligations for the
-/// thread-safety analysis to flag. (util::AtomicSharedPtr rather than
-/// std::atomic<std::shared_ptr> — see that header for the libstdc++
-/// memory-order bug it works around.)
-class SnapshotPublisher {
- public:
-  /// The most recently published snapshot; null before the first Publish.
-  std::shared_ptr<const ScoreSnapshot> Current() const {
-    return snapshot_.Load();
-  }
-
-  void Publish(std::shared_ptr<const ScoreSnapshot> snapshot) {
-    snapshot_.Store(std::move(snapshot));
-  }
-
- private:
-  util::AtomicSharedPtr<const ScoreSnapshot> snapshot_;
-};
 
 }  // namespace pisrep::server
 

@@ -65,8 +65,8 @@ class VoteStore {
 
   /// Visits the scoring-relevant fields of every vote on `software` without
   /// materializing StoredRating (no comment/key string copies). This is the
-  /// aggregation hot path: it runs once per vote per recompute, possibly
-  /// from worker threads, so it must not allocate per vote.
+  /// aggregation hot path: it runs once per vote per recompute, so it must
+  /// not allocate per vote.
   void ForEachVoteOn(
       const core::SoftwareId& software,
       const std::function<void(core::UserId user, int score,

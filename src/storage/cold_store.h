@@ -62,8 +62,7 @@ struct ColdStoreStats {
 /// Thread compatibility: mutations are single-writer (the server's writer
 /// thread); const reads go through pread(2) and touch no mutable state
 /// besides relaxed stat counters, so concurrent readers are safe as long as
-/// no writer runs — the same contract the rest of the storage layer and the
-/// parallel aggregation phase already rely on.
+/// no writer runs — the same contract as the rest of the storage layer.
 class ColdStore {
  public:
   /// Opens (or creates) the block file at `path`, scanning it to rebuild

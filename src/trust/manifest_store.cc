@@ -32,8 +32,7 @@ ManifestStore::ManifestStore(storage::Database* db) : db_(db) {
                                          .Build());
     PISREP_CHECK(status.ok()) << status.ToString();
   }
-  Index loaded;
-  auto scan = db_->ForEachRow(kTable, [&loaded](const Row& row) {
+  auto scan = db_->ForEachRow(kTable, [this](const Row& row) {
     SoftwareManifest manifest;
     auto id = SoftwareIdFromHex(row[0].AsStr());
     if (!id.ok()) return;
@@ -44,10 +43,9 @@ ManifestStore::ManifestStore(storage::Database* db) : db_(db) {
     auto sig = util::ParseInt64(row[4].AsStr());
     manifest.signature =
         sig.ok() ? static_cast<crypto::Signature>(*sig) : 0;
-    loaded[manifest.software] = std::move(manifest);
+    manifests_[manifest.software] = std::move(manifest);
   });
   PISREP_CHECK(scan.ok()) << scan.ToString();
-  Republish(std::move(loaded));
 }
 
 Status ManifestStore::Put(const SoftwareManifest& manifest,
@@ -62,16 +60,14 @@ Status ManifestStore::Put(const SoftwareManifest& manifest,
       Value::Str(std::to_string(manifest.signature)),
       Value::Int(at),
   }));
-  Index next = *index_.Load();
-  next[manifest.software] = manifest;
-  Republish(std::move(next));
+  manifests_[manifest.software] = manifest;
   return Status::Ok();
 }
 
-std::size_t ManifestStore::size() const { return index_.Load()->size(); }
-
-void ManifestStore::Republish(Index next) {
-  index_.Store(std::make_shared<const Index>(std::move(next)));
+const SoftwareManifest* ManifestStore::Find(
+    const core::SoftwareId& software) const {
+  auto it = manifests_.find(software);
+  return it == manifests_.end() ? nullptr : &it->second;
 }
 
 }  // namespace pisrep::trust

@@ -1,13 +1,11 @@
 #ifndef PISREP_TRUST_MANIFEST_STORE_H_
 #define PISREP_TRUST_MANIFEST_STORE_H_
 
-#include <memory>
 #include <unordered_map>
 
 #include "core/types.h"
 #include "storage/database.h"
 #include "trust/signed_statement.h"
-#include "util/atomic_shared_ptr.h"
 #include "util/clock.h"
 #include "util/status.h"
 
@@ -15,35 +13,27 @@ namespace pisrep::trust {
 
 /// Persisted, verified software manifests, keyed by software id. Only
 /// manifests whose vendor signature already verified are ever stored — the
-/// store records *facts*, so readers never re-verify.
-///
-/// Reads go through an RCU'd immutable index (rebuilt on each Put) so both
-/// the locked QuerySoftware path and the lock-free snapshot path can
-/// annotate answers without taking the server mutex.
+/// store records *facts*, so readers never re-verify. An in-memory map
+/// mirrors the table for reads.
 class ManifestStore {
  public:
-  using Index = std::unordered_map<core::SoftwareId, SoftwareManifest,
-                                   core::SoftwareIdHash>;
-
   inline static constexpr std::string_view kTable = "manifests";
 
   /// Creates the table when absent and loads persisted manifests.
   explicit ManifestStore(storage::Database* db);
 
-  /// Persists a verified manifest (last write per software wins) and
-  /// republishes the read index.
+  /// Persists a verified manifest (last write per software wins).
   util::Status Put(const SoftwareManifest& manifest, util::TimePoint at);
 
-  /// The current immutable index; safe to read from any thread.
-  std::shared_ptr<const Index> Snapshot() const { return index_.Load(); }
+  /// The manifest stored for `software`, or null.
+  const SoftwareManifest* Find(const core::SoftwareId& software) const;
 
-  std::size_t size() const;
+  std::size_t size() const { return manifests_.size(); }
 
  private:
-  void Republish(Index next);
-
   storage::Database* db_;
-  util::AtomicSharedPtr<const Index> index_;
+  std::unordered_map<core::SoftwareId, SoftwareManifest, core::SoftwareIdHash>
+      manifests_;
 };
 
 }  // namespace pisrep::trust

@@ -16,7 +16,6 @@
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/sha1.h"
-#include "util/thread_pool.h"
 
 namespace pisrep::server {
 namespace {
@@ -381,42 +380,6 @@ TEST_F(AggregationIncrementalTest, MetricsAndLogLineDeriveFromSameStats) {
   EXPECT_NE(line.find(std::to_string(last.vendors_recomputed) + " vendors"),
             std::string::npos)
       << line;
-}
-
-// --- Parallel == serial ---------------------------------------------------
-
-TEST(AggregationParallelTest, PoolMatchesSerialBitExactly) {
-  World serial;
-  World parallel;
-  util::ThreadPool pool(4);
-  parallel.job->set_thread_pool(&pool);
-
-  auto populate = [&](World& w) {
-    std::vector<UserId> users;
-    for (int u = 0; u < 12; ++u) {
-      users.push_back(w.AddUser("user" + std::to_string(u)));
-    }
-    // Deterministic vote pattern (same for both worlds).
-    for (int u = 0; u < 12; ++u) {
-      for (int s = 0; s < 8; ++s) {
-        if ((u + s) % 3 == 0) continue;
-        SoftwareMeta meta =
-            Meta("sw" + std::to_string(s), "vendor" + std::to_string(s % 3));
-        w.Vote(users[u], meta, 1 + (u * 7 + s * 5) % 10);
-      }
-    }
-    // Some trust churn so weights differ between users.
-    for (int u = 0; u < 12; u += 2) {
-      PISREP_CHECK(w.accounts->ApplyRemark(users[u], u % 4 == 0, 0).ok());
-    }
-  };
-  populate(serial);
-  populate(parallel);
-
-  serial.job->RunOnce(kDay, /*full_sweep=*/true);
-  parallel.job->RunOnce(kDay, /*full_sweep=*/true);
-  EXPECT_GT(parallel.job->last_stats().shards, 1u);
-  ExpectSameScores(serial, parallel);
 }
 
 // --- Property-style mirrored random op streams ----------------------------

@@ -17,13 +17,11 @@ namespace pisrep::sim {
 namespace {
 
 core::SoftwareMeta AttackMeta() {
-  core::SoftwareMeta meta;
-  meta.id = util::Sha1::Hash("attack-test-target");
-  meta.file_name = "target.exe";
-  meta.file_size = 100;
-  meta.company = "V";
-  meta.version = "1.0";
-  return meta;
+  return core::SoftwareMeta{.id = util::Sha1::Hash("attack-test-target"),
+                            .file_name = "target.exe",
+                            .file_size = 100,
+                            .company = "V",
+                            .version = "1.0"};
 }
 
 struct ServerFixture {

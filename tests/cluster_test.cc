@@ -1382,7 +1382,7 @@ TEST(ClusterTuning, PerShardSweepCadenceIsHonored) {
 }
 
 // ---------------------------------------------------------------------------
-// Router fast paths: vendor index, binary codec, batched frames
+// Router fast paths: binary codec, batched frames
 // ---------------------------------------------------------------------------
 
 /// Serialized response with the per-client envelope id neutralized, so
@@ -1399,32 +1399,6 @@ Result<XmlNode> QueryProgram(Harness& h, const std::string& session, int i) {
   request.AddTextChild("session", session);
   request.AddTextChild("id", ProgramMeta(i).id.ToHex());
   return h.Call("QuerySoftware", std::move(request));
-}
-
-TEST(ClusterVendorIndex, IndexRewriteMatchesTheScatterByteForByte) {
-  Harness h(3);
-  RunScriptedWorkload(h);
-  std::string session = h.Onboard("index-reader");
-
-  // Before any refresh the rewrite falls back to the per-query scatter.
-  auto scattered = QueryProgram(h, session, 0);
-  ASSERT_TRUE(scattered.ok()) << scattered.status().ToString();
-  const XmlNode* scatter_vendor = scattered->FindChild("vendor");
-  ASSERT_NE(scatter_vendor, nullptr);
-  EXPECT_EQ(h.router()->vendor_index_hits(), 0u);
-  EXPECT_GT(h.router()->vendor_index_misses(), 0u);
-
-  h.router()->RefreshVendorIndexNow();
-  h.Pump([&] { return h.router()->vendor_index_refreshes() >= 1; });
-  ASSERT_GE(h.router()->vendor_index_refreshes(), 1u);
-
-  // Served from the index now — and byte-identical to the scatter merge.
-  auto indexed = QueryProgram(h, session, 0);
-  ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
-  const XmlNode* index_vendor = indexed->FindChild("vendor");
-  ASSERT_NE(index_vendor, nullptr);
-  EXPECT_EQ(xml::WriteXml(*index_vendor), xml::WriteXml(*scatter_vendor));
-  EXPECT_GT(h.router()->vendor_index_hits(), 0u);
 }
 
 TEST(ClusterCodec, BinaryClientAndXmlClientGetIdenticalAnswers) {

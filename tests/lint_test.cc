@@ -307,16 +307,16 @@ TEST(Layering, ClientMayUseProtoButNotServer) {
   EXPECT_TRUE(HasFinding(bad, "layering", "src/client/c.cc", 1));
 }
 
-TEST(Layering, UtilStaysLeafEvenWithThreadPool) {
-  // The thread pool lives in util so every layer may use it; in return it
+TEST(Layering, UtilStaysLeaf) {
+  // util (mutexes, hashing, logging) is used by every layer; in return it
   // must depend on nothing above util.
-  auto ok = AnalyzeOne("src/util/thread_pool.cc",
-                       "#include \"util/thread_pool.h\"\n"
+  auto ok = AnalyzeOne("src/util/mutex.h",
+                       "#include \"util/thread_annotations.h\"\n"
                        "#include \"util/logging.h\"\n");
   EXPECT_EQ(CountRule(ok, "layering"), 0) << FormatHuman(ok);
-  auto bad = AnalyzeOne("src/util/thread_pool.h",
+  auto bad = AnalyzeOne("src/util/mutex.h",
                         "#include \"server/aggregation_job.h\"\n");
-  EXPECT_TRUE(HasFinding(bad, "layering", "src/util/thread_pool.h", 1));
+  EXPECT_TRUE(HasFinding(bad, "layering", "src/util/mutex.h", 1));
 }
 
 TEST(Layering, ObsIsBelowEverythingButUtil) {

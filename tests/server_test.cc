@@ -9,7 +9,6 @@
 #include "sim/attacks.h"
 #include "storage/database.h"
 #include "util/sha1.h"
-#include "xml/xml_writer.h"
 
 namespace pisrep::server {
 namespace {
@@ -661,67 +660,6 @@ TEST_F(ServerTest, MutationForcesSlowPathUntilNextPublication) {
   server_->aggregation().RunOnce(2 * kDay);
   ASSERT_TRUE(server_->QuerySoftware(s1, meta.id).ok());
   EXPECT_EQ(server_->stats().snapshot_hits, 2u);
-}
-
-TEST_F(ServerTest, SnapshotReadsOffMeansNoSnapshotEverPublished) {
-  ReputationServer::Config config = DefaultConfig();
-  config.snapshot_reads = false;
-  Reset(config);
-  std::string session = MakeUser("vera");
-  SoftwareMeta meta = TestMeta("snap3", "Acme");
-  ASSERT_TRUE(
-      server_->SubmitRating(session, meta, 5, "", core::kNoBehaviors, 0).ok());
-  server_->aggregation().RunOnce(kDay);
-  EXPECT_EQ(server_->CurrentSnapshot(), nullptr);
-  ASSERT_TRUE(server_->QuerySoftware(session, meta.id).ok());
-  EXPECT_EQ(server_->stats().snapshot_hits, 0u);
-  // The lock-free entry point reports unavailability rather than serving
-  // a stale or empty answer.
-  EXPECT_EQ(server_->QuerySoftwareSnapshot(session, meta.id).status().code(),
-            util::StatusCode::kUnavailable);
-}
-
-TEST_F(ServerTest, QuerySoftwareSnapshotMatchesLockedAnswerByteForByte) {
-  std::string s1 = MakeUser("wade");
-  std::string s2 = MakeUser("xena");
-  SoftwareMeta meta = TestMeta("snap4", "Initech");
-  core::BehaviorSet ads =
-      static_cast<core::BehaviorSet>(core::Behavior::kShowsAds);
-  ASSERT_TRUE(server_->SubmitRating(s1, meta, 9, "great", ads, 0).ok());
-  ASSERT_TRUE(server_->SubmitRating(s2, meta, 5, "meh", ads, 0).ok());
-  ASSERT_TRUE(server_->ReportExecutions(s1, meta.id, 3).ok());
-  server_->aggregation().RunOnce(kDay);
-
-  // Twin server over the same database with the snapshot path disabled:
-  // the locked store walk is the oracle.
-  ReputationServer::Config locked_config = DefaultConfig();
-  locked_config.snapshot_reads = false;
-  ReputationServer locked(db_.get(), &loop_, locked_config);
-  auto locked_session = locked.Login("wade", "password", 0);
-  ASSERT_TRUE(locked_session.ok());
-
-  for (const SoftwareId& id : {meta.id, util::Sha1::Hash("never-seen")}) {
-    auto fast = server_->QuerySoftwareSnapshot(s1, id);
-    auto slow = locked.QuerySoftware(*locked_session, id);
-    ASSERT_TRUE(fast.ok());
-    ASSERT_TRUE(slow.ok());
-    EXPECT_EQ(xml::WriteXml(proto::SoftwareInfoToXml(*fast)),
-              xml::WriteXml(proto::SoftwareInfoToXml(*slow)));
-  }
-  EXPECT_EQ(server_->snapshot_queries(), 2u);
-}
-
-TEST_F(ServerTest, QuerySoftwareSnapshotStillAuthenticates) {
-  std::string session = MakeUser("yuri");
-  server_->aggregation().RunOnce(kDay);
-  EXPECT_EQ(server_
-                ->QuerySoftwareSnapshot("bogus-session",
-                                        util::Sha1::Hash("app"))
-                .status()
-                .code(),
-            util::StatusCode::kUnauthenticated);
-  EXPECT_TRUE(
-      server_->QuerySoftwareSnapshot(session, util::Sha1::Hash("app")).ok());
 }
 
 TEST_F(ServerTest, RunOnlyDigestsAppearInSnapshot) {

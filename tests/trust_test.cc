@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <optional>
 #include <string>
@@ -29,6 +30,7 @@
 #include "util/sha1.h"
 #include "web/portal.h"
 #include "xml/xml_node.h"
+#include "xml/xml_writer.h"
 
 namespace pisrep::trust {
 namespace {
@@ -448,7 +450,7 @@ TEST(AuditLogTest, CheckpointPinsTruncatedTail) {
 
 class TrustServerTest : public ::testing::Test {
  protected:
-  TrustServerTest() { Reset({}); }
+  TrustServerTest() { Reset(server::ReputationServer::Config()); }
 
   void Reset(server::ReputationServer::Config config) {
     config.flood.registration_puzzle_bits = 0;
@@ -512,6 +514,113 @@ TEST_F(TrustServerTest, ManifestAnnotatesQueriesAdvisoryFeedsExperts) {
   EXPECT_TRUE(entry->expert_flagged);
   EXPECT_DOUBLE_EQ(entry->score, 1.5);
   EXPECT_EQ(entry->note, "bundles an ad injector");
+}
+
+TEST_F(TrustServerTest, SnapshotAnswersEqualLiveStoreAnswers) {
+  // One server answers each digest twice: first from the published
+  // snapshot (gate hit), then, after a mutation elsewhere, from the live
+  // stores (gate miss). Both answers must be the same bytes.
+  std::string alice = MakeUser("alice");
+  std::string bob = MakeUser("bob");
+  const core::BehaviorSet ads =
+      core::WithBehavior(core::kNoBehaviors, core::Behavior::kShowsAds);
+  core::SoftwareMeta rated = MakeMeta("ad_viewer.exe");
+  ASSERT_TRUE(
+      server_->SubmitRating(alice, rated, 8, "works, shows ads", ads, 0).ok());
+  ASSERT_TRUE(
+      server_->SubmitRating(bob, rated, 3, "ads everywhere", ads, 0).ok());
+  SoftwareManifest manifest = MakeManifest(ids_);
+  ASSERT_TRUE(server_->SubmitManifest(manifest).ok());
+  const core::SoftwareId run_only = util::Sha1::Hash("bytes-of-tool.exe");
+  ASSERT_TRUE(server_->ReportExecutions(alice, run_only, 5).ok());
+  server_->aggregation().RunOnce(util::kDay);
+
+  const std::vector<core::SoftwareId> digests = {
+      rated.id, manifest.software, run_only,
+      util::Sha1::Hash("bytes-of-never-seen.exe")};
+  std::vector<server::SoftwareInfo> infos;
+  auto answer = [&](const core::SoftwareId& id) {
+    auto info = server_->QuerySoftware(alice, id);
+    EXPECT_TRUE(info.ok()) << info.status().ToString();
+    if (!info.ok()) return std::string();
+    infos.push_back(*info);
+    return xml::WriteXml(proto::SoftwareInfoToXml(*info));
+  };
+
+  const server::ServerStats before = server_->stats();
+  std::vector<std::string> hits;
+  for (const core::SoftwareId& id : digests) hits.push_back(answer(id));
+  EXPECT_EQ(server_->stats().snapshot_hits, before.snapshot_hits + 4);
+  EXPECT_EQ(server_->stats().snapshot_misses, before.snapshot_misses);
+
+  // Each digest exercises a different part of the answer.
+  ASSERT_EQ(infos.size(), 4u);
+  EXPECT_TRUE(infos[0].known);
+  EXPECT_TRUE(infos[0].score.has_value());
+  EXPECT_EQ(infos[0].comments.size(), 2u);
+  EXPECT_EQ(infos[0].reported_behaviors, ads);
+  EXPECT_TRUE(infos[1].vendor_signed);
+  EXPECT_EQ(infos[1].signed_vendor, "PixelWorks");
+  EXPECT_FALSE(infos[2].known);
+  EXPECT_EQ(infos[2].run_count, 5);
+  EXPECT_FALSE(infos[3].known);
+  EXPECT_EQ(infos[3].run_count, 0);
+
+  ASSERT_TRUE(server_
+                  ->ReportExecutions(
+                      alice, util::Sha1::Hash("bytes-of-unrelated.exe"), 1)
+                  .ok());
+  for (std::size_t i = 0; i < digests.size(); ++i) {
+    EXPECT_EQ(answer(digests[i]), hits[i]) << "digest " << i;
+  }
+  EXPECT_EQ(server_->stats().snapshot_hits, before.snapshot_hits + 4);
+  EXPECT_EQ(server_->stats().snapshot_misses, before.snapshot_misses + 4);
+}
+
+TEST(ManifestPersistenceTest, LastManifestSurvivesRestart) {
+  const std::string path =
+      testing::TempDir() + "/pisrep_manifest_restart.wal";
+  std::remove(path.c_str());
+  TestIdentities ids;
+  util::Rng other_rng(0xbeef03);
+  const crypto::KeyPair other = crypto::GenerateKeyPair(other_rng);
+  server::ReputationServer::Config config;
+  config.flood.registration_puzzle_bits = 0;
+  config.accounts.require_activation = false;
+  config.trust.pinned_certificates = {
+      MakeCert("PixelWorks", ids.vendor.public_key, crypto::KeyRole::kVendor),
+      MakeCert("LensCraft", other.public_key, crypto::KeyRole::kVendor)};
+
+  SoftwareManifest first = MakeManifest(ids);
+  SoftwareManifest second = first;
+  second.vendor = "LensCraft";
+  second.version = "2.0";
+  SignManifest(other.private_key, &second);
+  {
+    auto db = storage::Database::Open(path);
+    ASSERT_TRUE(db.ok());
+    net::EventLoop loop;
+    server::ReputationServer server(db->get(), &loop, config);
+    util::Status registered =
+        server.Register("s", "alice", "password", "a@x.example", "", "", 0);
+    ASSERT_TRUE(registered.ok()) << registered.ToString();
+    ASSERT_TRUE(server.SubmitManifest(first).ok());
+    ASSERT_TRUE(server.SubmitManifest(second).ok());
+    EXPECT_EQ(server.manifests().size(), 1u);
+  }
+
+  auto db = storage::Database::Open(path);
+  ASSERT_TRUE(db.ok());
+  net::EventLoop loop;
+  server::ReputationServer server(db->get(), &loop, config);
+  EXPECT_EQ(server.manifests().size(), 1u);
+  auto session = server.Login("alice", "password", 0);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto info = server.QuerySoftware(*session, first.software);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_TRUE(info->vendor_signed);
+  EXPECT_EQ(info->signed_vendor, "LensCraft");
+  std::remove(path.c_str());
 }
 
 TEST_F(TrustServerTest, ForgedStatementsAreRejectedAndCounted) {
