@@ -10,10 +10,11 @@
 //      measured batches alternating between them in ABBA order — so host
 //      noise (a shared CI machine, a page-cache hiccup) lands on both
 //      distributions instead of skewing whichever config ran second:
-//        - served: the deployment path — binary wire codec over the RPC
-//          stack into SubmitRating, pipelined in client batches. This is
-//          the number the <15% p50 budget applies to (full mode asserts
-//          it): what a client actually pays per vote.
+//        - served: the deployment path — XML frames over the RPC stack
+//          into SubmitRating, 64 plain calls pipelined per measured batch
+//          as ClientApp sends them. This is the number the <15% p50
+//          budget applies to (full mode asserts it): what a client
+//          actually pays per vote.
 //        - engine: direct SubmitRating calls on an in-memory database, the
 //          raw cost of the chain append with every serving layer stripped
 //          away. Reported for transparency; a sub-microsecond absolute
@@ -46,7 +47,6 @@
 #include "net/event_loop.h"
 #include "net/network.h"
 #include "net/rpc.h"
-#include "proto/wire.h"
 #include "server/reputation_server.h"
 #include "storage/database.h"
 #include "storage/tiered_table.h"
@@ -185,8 +185,8 @@ double EngineBatch(EngineRig* rig, std::size_t base, const Shape& shape) {
   return static_cast<double>(batch.ElapsedMicros()) / kBatch;
 }
 
-/// One server behind the full serving stack: binary wire codec over the sim
-/// transport into an RPC client pipelining batches of 64.
+/// One server behind the full serving stack: XML frames over the sim
+/// transport from an RPC client pipelining 64 calls at a time.
 struct ServedRig {
   std::unique_ptr<net::EventLoop> loop;
   std::unique_ptr<net::SimNetwork> network;
@@ -210,18 +210,16 @@ ServedRig MakeServedRig(const Shape& shape, bool audited) {
                                                 rig.loop.get(), "bench",
                                                 "server");
   MustOk(rig.client->Start(), "client start");
-  rig.client->set_codec(proto::WireCodec::kBinary);
   RegisterVoters(rig.server.get(), shape.users, &rig.sessions);
   rig.batch_us.reserve(shape.votes / kBatch + 1);
   return rig;
 }
 
-/// Pipelines votes [base, base+kBatch) as one RPC batch (BeginBatch/
-/// FlushBatch), pumps the loop until every ack is in, returns us/vote.
+/// Pipelines votes [base, base+kBatch) as kBatch plain calls, pumps the
+/// loop until every ack is in, returns us/vote.
 double ServedBatch(ServedRig* rig, std::size_t base, const Shape& shape) {
   WallTimer batch;
   std::size_t pending = 0;
-  rig->client->BeginBatch();
   for (std::size_t i = base; i < base + kBatch; ++i) {
     core::SoftwareMeta meta = VoteMeta(i, shape.users);
     xml::XmlNode request("request");
@@ -243,7 +241,6 @@ double ServedBatch(ServedRig* rig, std::size_t base, const Shape& shape) {
         },
         20 * util::kSecond);
   }
-  rig->client->FlushBatch();
   while (pending > 0) {
     rig->loop->RunUntil(rig->loop->Now() + util::kMillisecond);
   }
@@ -347,7 +344,7 @@ int Run(const Shape& shape) {
   double engine_overhead = overhead_of(engine_plain, engine_audited);
   double served_overhead = overhead_of(served_plain, served_audited);
   std::printf("ingest (%zu votes, %zu users)\n", shape.votes, shape.users);
-  std::printf("  served (rpc, binary codec):  unaudited p50 %.2f us/vote   "
+  std::printf("  served (rpc, xml wire):      unaudited p50 %.2f us/vote   "
               "audited p50 %.2f us/vote   overhead %+.1f%%\n",
               served_plain.p50_us, served_audited.p50_us,
               served_overhead * 100.0);

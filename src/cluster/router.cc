@@ -8,6 +8,8 @@
 #include "util/logging.h"
 #include "util/sha1.h"
 #include "util/string_util.h"
+#include "xml/xml_parser.h"
+#include "xml/xml_writer.h"
 
 namespace pisrep::cluster {
 
@@ -83,7 +85,6 @@ Router::Router(net::SimNetwork* network, net::EventLoop* loop,
   // digest-plane calls lean on the per-server breaker to fail fast while a
   // shard is down, which the client's own retry/queue machinery absorbs.
   rpc_.AttachObservability(metrics, tracer);
-  if (config_.upstream_binary) rpc_.set_codec(proto::WireCodec::kBinary);
   if (metrics_ != nullptr) {
     broadcast_ops_metric_ =
         metrics_->GetCounter("pisrep_cluster_router_broadcast_ops_total");
@@ -93,13 +94,6 @@ Router::Router(net::SimNetwork* network, net::EventLoop* loop,
         metrics_->GetCounter("pisrep_cluster_router_effect_failures_total");
     read_repairs_metric_ =
         metrics_->GetCounter("pisrep_cluster_read_repairs_total");
-    // Same counter names as RpcServer's codec/batch metrics: the router is
-    // the cluster's hand-rolled front door, and dashboards should see one
-    // series per deployment regardless of which binary answered.
-    binary_requests_metric_ =
-        metrics_->GetCounter("pisrep_proto_binary_requests_total");
-    batched_requests_metric_ =
-        metrics_->GetCounter("pisrep_rpc_batched_requests_total");
     scatter_ms_ = metrics_->GetHistogram(
         "pisrep_cluster_router_scatter_ms",
         {10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0});
@@ -134,36 +128,9 @@ obs::Counter* Router::ShardRequestCounter(const std::string& shard) {
 }
 
 void Router::HandleMessage(const net::Message& message) {
-  auto decoded = proto::DecodeFrame(message.payload);
-  if (!decoded.ok()) return;
-  // Reply-in-kind: remember the codec this client last spoke so every
-  // response (including ones produced much later by an async upstream
-  // callback) goes back the way the request came.
-  client_codecs_[message.from] = decoded->codec;
-  if (decoded->codec == proto::WireCodec::kBinary &&
-      binary_requests_metric_ != nullptr) {
-    binary_requests_metric_->Increment();
-  }
-  const XmlNode& node = decoded->node;
-  if (node.name() == "batch") {
-    // Unbundle: each member routes independently (they usually land on
-    // different shards) and is answered with its own response frame — the
-    // RpcClient matches responses by id, so per-member replies complete a
-    // batched call just as well as one batch frame, without the router
-    // holding the fastest shard's answer hostage to the slowest.
-    for (const XmlNode& child : node.children()) {
-      if (child.name() != "request") continue;
-      if (batched_requests_metric_) batched_requests_metric_->Increment();
-      DispatchRequest(message, child);
-    }
-    return;
-  }
-  if (node.name() != "request") return;
-  DispatchRequest(message, node);
-}
-
-void Router::DispatchRequest(const net::Message& message,
-                             const XmlNode& request) {
+  auto parsed = xml::ParseXml(message.payload);
+  if (!parsed.ok() || parsed->name() != "request") return;
+  const XmlNode& request = *parsed;
   std::string id = request.AttributeOr("id", "");
   std::string method = request.AttributeOr("method", "");
   ++requests_;
@@ -208,12 +175,7 @@ void Router::Reply(const std::string& client, const std::string& id,
                           util::StatusCodeName(result.status().code()));
     response.set_text(result.status().message());
   }
-  proto::WireCodec codec = proto::WireCodec::kXml;
-  if (auto it = client_codecs_.find(client); it != client_codecs_.end()) {
-    codec = it->second;
-  }
-  network_->Send(config_.service_address, client,
-                 proto::EncodeFrame(response, codec));
+  network_->Send(config_.service_address, client, xml::WriteXml(response));
 }
 
 void Router::ReplyError(const std::string& client, const std::string& id,

@@ -14,7 +14,6 @@
 #include "net/rpc.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "proto/binary_codec.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -54,9 +53,6 @@ struct RouterConfig {
   /// WAL position yet answers differently is forced into snapshot resync.
   /// The client's response is never delayed. 0 disables.
   int read_fanout = 0;
-  /// Speak the compact binary codec on upstream shard calls (shards
-  /// negotiate per frame, so this is safe to flip per router).
-  bool upstream_binary = false;
 };
 
 /// The client-facing front door of the cluster (and, pointed at by a
@@ -146,10 +142,6 @@ class Router {
   };
 
   void HandleMessage(const net::Message& message);
-  /// Routes one client-visible request (an unbatched frame, or one member
-  /// of a batch frame).
-  void DispatchRequest(const net::Message& message,
-                       const xml::XmlNode& request);
   void Reply(const std::string& client, const std::string& id,
              util::Result<xml::XmlNode> result);
   void ReplyError(const std::string& client, const std::string& id,
@@ -197,10 +189,6 @@ class Router {
   std::uint64_t requests_ = 0;
   std::uint64_t redirects_followed_ = 0;
   std::uint64_t read_repairs_ = 0;
-  /// The codec each client last spoke; replies go back in kind. XML when
-  /// a client has never been seen (defensive — every reply follows a
-  /// request, which records the codec first).
-  std::unordered_map<std::string, proto::WireCodec> client_codecs_;
 
   obs::MetricsRegistry* metrics_ = nullptr;
   std::unordered_map<std::string, obs::Counter*> shard_counters_;
@@ -208,8 +196,6 @@ class Router {
   obs::Counter* ownership_moved_metric_ = nullptr;
   obs::Counter* effect_failures_metric_ = nullptr;
   obs::Counter* read_repairs_metric_ = nullptr;
-  obs::Counter* binary_requests_metric_ = nullptr;
-  obs::Counter* batched_requests_metric_ = nullptr;
   obs::Histogram* scatter_ms_ = nullptr;
 };
 

@@ -1,12 +1,12 @@
 #include "net/rpc.h"
 
-#include <cstdlib>
 #include <utility>
 
-#include "proto/binary_codec.h"
 #include "util/clock.h"
 #include "util/logging.h"
 #include "util/string_util.h"
+#include "xml/xml_parser.h"
+#include "xml/xml_writer.h"
 
 namespace pisrep::net {
 
@@ -55,8 +55,6 @@ void RpcServer::AttachObservability(obs::MetricsRegistry* metrics,
   method_counters_.clear();
   error_counters_.clear();
   handle_micros_ = nullptr;
-  binary_requests_metric_ = nullptr;
-  batched_requests_metric_ = nullptr;
   if (metrics_ != nullptr) {
     // Wall-clock-valued (instrumentation only, never steers sim logic):
     // handler durations are real compute time, not sim time — sim time
@@ -64,10 +62,6 @@ void RpcServer::AttachObservability(obs::MetricsRegistry* metrics,
     handle_micros_ = metrics_->GetHistogram(
         "pisrep_net_rpc_handle_micros",
         {10.0, 100.0, 1000.0, 10000.0, 100000.0});
-    binary_requests_metric_ =
-        metrics_->GetCounter("pisrep_proto_binary_requests_total");
-    batched_requests_metric_ =
-        metrics_->GetCounter("pisrep_rpc_batched_requests_total");
   }
 }
 
@@ -95,52 +89,24 @@ obs::Counter* RpcServer::ErrorCounter(const std::string& code) {
 }
 
 void RpcServer::HandleMessage(const Message& message) {
-  auto decoded = proto::DecodeFrame(message.payload);
-  if (!decoded.ok() || (decoded->node.name() != "request" &&
-                        decoded->node.name() != "batch")) {
-    // Malformed datagram (either codec): nothing sensible to reply to.
+  auto request = xml::ParseXml(message.payload);
+  if (!request.ok() || request->name() != "request") {
+    // Malformed datagram: nothing sensible to reply to.
     ++requests_failed_;
     if (metrics_) ErrorCounter("malformed")->Increment();
     return;
   }
-  if (decoded->codec == proto::WireCodec::kBinary) {
-    ++binary_requests_;
-    if (binary_requests_metric_) binary_requests_metric_->Increment();
-  }
 
-  XmlNode response("response");
-  std::string gate_method;
-  if (decoded->node.name() == "batch") {
-    // One frame in, one frame out: every <request> child is handled in
-    // arrival order and answered at the same position of a single <batch>
-    // response frame. Each child keeps its own envelope, counters and
-    // span, so a batch is observably N calls that shared a datagram. The
-    // response gate sees the whole frame once under the pseudo-method
-    // "batch", which no bypass list matches — a batch containing writes is
-    // therefore always held until replication covers them.
-    response.set_name("batch");
-    response.SetAttribute("id", decoded->node.AttributeOr("id", ""));
-    for (const XmlNode& child : decoded->node.children()) {
-      if (child.name() != "request") continue;
-      ++batched_requests_;
-      if (batched_requests_metric_) batched_requests_metric_->Increment();
-      response.AddChild(HandleRequestNode(child));
-    }
-    gate_method = "batch";
-  } else {
-    response = HandleRequestNode(decoded->node);
-    gate_method = decoded->node.AttributeOr("method", "");
-  }
-
+  std::string payload = xml::WriteXml(HandleRequestNode(*request));
   auto send = [network = network_, from = address_, to = message.from,
-               payload = proto::EncodeFrame(response, decoded->codec)] {
+               payload = std::move(payload)] {
     network->Send(from, to, payload);
   };
   if (response_gate_) {
     // The gate owns the transmission now; it may run the closure
     // immediately (reads) or hold it until e.g. replication catches up
     // (writes). Handler work and metrics above already happened.
-    response_gate_(gate_method, std::move(send));
+    response_gate_(request->AttributeOr("method", ""), std::move(send));
   } else {
     send();
   }
@@ -151,7 +117,7 @@ XmlNode RpcServer::HandleRequestNode(const XmlNode& request) {
   std::string method_name = request.AttributeOr("method", "");
 
   // Continue the caller's trace when the request carries span ids (the
-  // client codec adds them whenever its side has a tracer attached).
+  // client adds them whenever its side has a tracer attached).
   obs::Span span;
   if (tracer_ != nullptr) {
     auto trace_id = util::ParseInt64(request.AttributeOr("trace", ""));
@@ -337,72 +303,7 @@ void RpcClient::CallTo(std::string_view server, std::string_view method,
     params.SetAttribute("span", std::to_string(call.span.span_id()));
   }
   call.request = std::move(params);
-  if (batching_) {
-    // Inside a batch window: hold the fully prepared call (span opened,
-    // breaker consulted) until FlushBatch ships the window.
-    batch_queue_.push_back(std::move(call));
-    return;
-  }
   Dispatch(std::move(call));
-}
-
-std::size_t RpcClient::FlushBatch() {
-  batching_ = false;
-  std::vector<PendingCall> queued = std::move(batch_queue_);
-  batch_queue_.clear();
-  if (queued.empty()) return 0;
-
-  // Group by destination, preserving queue order within each group (and
-  // the order groups first appear, for determinism).
-  std::vector<std::string> order;
-  std::unordered_map<std::string, std::vector<PendingCall>> groups;
-  for (PendingCall& call : queued) {
-    if (groups.find(call.server) == groups.end()) {
-      order.push_back(call.server);
-    }
-    groups[call.server].push_back(std::move(call));
-  }
-
-  std::size_t frames = 0;
-  for (const std::string& server : order) {
-    std::vector<PendingCall>& group = groups[server];
-    if (group.size() == 1) {
-      // No amortization to be had; skip the batch envelope entirely so a
-      // flushed single call stays byte-identical to an unbatched one.
-      Dispatch(std::move(group.front()));
-      ++frames;
-      continue;
-    }
-    XmlNode batch("batch");
-    batch.SetAttribute("id", std::to_string(next_id_++));
-    util::Duration frame_timeout = 0;
-    std::vector<std::uint64_t> sub_ids;
-    sub_ids.reserve(group.size());
-    for (PendingCall& call : group) {
-      std::uint64_t id = next_id_++;
-      XmlNode request = call.request;
-      request.SetAttribute("id", std::to_string(id));
-      batch.AddChild(std::move(request));
-      if (call.timeout > frame_timeout) frame_timeout = call.timeout;
-      sub_ids.push_back(id);
-      pending_.emplace(id, std::move(call));
-      ++calls_sent_;
-      if (calls_metric_) calls_metric_->Increment();
-    }
-    ++batches_sent_;
-    network_->Send(address_, server, proto::EncodeFrame(batch, codec_));
-    ++frames;
-    loop_->ScheduleAfter(
-        frame_timeout, [this, sub_ids = std::move(sub_ids),
-                        alive = std::weak_ptr<int>(alive_)] {
-          if (alive.expired()) return;
-          // A lost batch frame fails every still-answered-nothing member
-          // over to the retry path; retries go out *unbatched*, so one
-          // poisoned batch can never wedge its members as a unit.
-          for (std::uint64_t id : sub_ids) TimeOutPending(id);
-        });
-  }
-  return frames;
 }
 
 void RpcClient::Dispatch(PendingCall call) {
@@ -415,7 +316,7 @@ void RpcClient::Dispatch(PendingCall call) {
   pending_.emplace(id, std::move(call));
   ++calls_sent_;
   if (calls_metric_) calls_metric_->Increment();
-  network_->Send(address_, destination, proto::EncodeFrame(request, codec_));
+  network_->Send(address_, destination, xml::WriteXml(request));
 
   loop_->ScheduleAfter(timeout, [this, id,
                                  alive = std::weak_ptr<int>(alive_)] {
@@ -493,24 +394,25 @@ void RpcClient::RecordOutcome(const std::string& server, bool success) {
 }
 
 void RpcClient::HandleMessage(const Message& message) {
-  auto decoded = proto::DecodeFrame(message.payload);
-  if (!decoded.ok() || (decoded->node.name() != "response" &&
-                        decoded->node.name() != "batch")) {
-    // Corrupted on the wire. For XML frames the request id may still be
-    // legible in the mangled payload; if so, fail that call over to the
-    // retry path now instead of letting it burn the rest of its timeout.
-    // If the id is gone too (always the case for a mangled binary frame),
-    // the pending call is covered by its timeout — corruption can never
-    // hang a call.
+  auto response = xml::ParseXml(message.payload);
+  if (!response.ok() || response->name() != "response") {
+    // Corrupted on the wire. The request id may still be legible in the
+    // envelope's start tag; if so, fail that call over to the retry path
+    // now instead of letting it burn the rest of its timeout. Only the
+    // root start tag (up to the first '>') is searched: an id attribute
+    // further in belongs to a child element, and reading it would fail
+    // some other pending call. If the id is gone, the pending call is
+    // covered by its timeout — corruption can never hang a call.
     ++corrupt_responses_;
     if (corrupt_metric_) corrupt_metric_->Increment();
-    std::size_t at = message.payload.find("id=\"");
-    if (at == std::string::npos) return;
-    const char* p = message.payload.c_str() + at + 4;
-    char* end = nullptr;
-    std::uint64_t id = std::strtoull(p, &end, 10);
-    if (end == p) return;
-    auto it = pending_.find(id);
+    std::string_view start_tag = message.payload;
+    start_tag = start_tag.substr(0, start_tag.find('>'));
+    std::size_t at = start_tag.find(" id=\"");
+    if (at == std::string_view::npos) return;
+    auto id = util::ParseInt64(
+        start_tag.substr(at + 5, start_tag.find('"', at + 5) - (at + 5)));
+    if (!id.ok()) return;
+    auto it = pending_.find(static_cast<std::uint64_t>(*id));
     if (it == pending_.end()) return;
     PendingCall call = std::move(it->second);
     pending_.erase(it);
@@ -519,29 +421,18 @@ void RpcClient::HandleMessage(const Message& message) {
     RetryOrFail(std::move(call), std::move(error));
     return;
   }
-  if (decoded->node.name() == "batch") {
-    // The server's one-frame answer to a batch: complete every member.
-    for (const XmlNode& child : decoded->node.children()) {
-      if (child.name() == "response") HandleResponseNode(child);
-    }
-    return;
-  }
-  HandleResponseNode(decoded->node);
-}
-
-void RpcClient::HandleResponseNode(const XmlNode& response) {
-  auto id_result = util::ParseInt64(response.AttributeOr("id", ""));
-  if (!id_result.ok()) return;
-  auto it = pending_.find(static_cast<std::uint64_t>(*id_result));
+  auto id = util::ParseInt64(response->AttributeOr("id", ""));
+  if (!id.ok()) return;
+  auto it = pending_.find(static_cast<std::uint64_t>(*id));
   if (it == pending_.end()) return;  // late or duplicate response
   PendingCall call = std::move(it->second);
   pending_.erase(it);
 
-  if (response.AttributeOr("status", "") == "ok") {
-    Complete(std::move(call), Result<XmlNode>(response));
+  if (response->AttributeOr("status", "") == "ok") {
+    Complete(std::move(call), std::move(response));
   } else {
-    StatusCode code = StatusCodeFromName(response.AttributeOr("code", ""));
-    Complete(std::move(call), Status(code, response.text()));
+    StatusCode code = StatusCodeFromName(response->AttributeOr("code", ""));
+    Complete(std::move(call), Status(code, response->text()));
   }
 }
 

@@ -114,7 +114,7 @@ Status ColdStore::OpenFile(bool truncate) {
 
 Status ColdStore::ReadFrame(std::uint64_t offset, std::string* payload,
                             std::uint32_t* frame_len) const {
-  reads_.fetch_add(1, std::memory_order_relaxed);
+  ++reads_;
   // Varint length first: at most 10 bytes, clipped to the file end.
   std::array<char, 10> head{};
   std::size_t head_want = static_cast<std::size_t>(
@@ -572,7 +572,7 @@ ColdStoreStats ColdStore::stats() const {
   stats.dead_bytes = dead_bytes_;
   stats.live_rows = live_rows_;
   stats.appends = appends_;
-  stats.reads = reads_.load(std::memory_order_relaxed);
+  stats.reads = reads_;
   stats.gc_runs = gc_runs_;
   stats.gc_reclaimed_bytes = gc_reclaimed_bytes_;
   return stats;

@@ -1,7 +1,6 @@
 #ifndef PISREP_STORAGE_COLD_STORE_H_
 #define PISREP_STORAGE_COLD_STORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -59,10 +58,9 @@ struct ColdStoreStats {
 /// fresh file and swaps it in. All offsets change across a GC — the owner
 /// must rebuild anything that cached them (TieredTable::RebuildFromCold).
 ///
-/// Thread compatibility: mutations are single-writer (the server's writer
-/// thread); const reads go through pread(2) and touch no mutable state
-/// besides relaxed stat counters, so concurrent readers are safe as long as
-/// no writer runs — the same contract as the rest of the storage layer.
+/// Thread compatibility: like the rest of the storage layer, a ColdStore
+/// belongs to the one event loop thread that owns its server (DESIGN.md
+/// §15). Const reads go through pread(2) and bump only the read counter.
 class ColdStore {
  public:
   /// Opens (or creates) the block file at `path`, scanning it to rebuild
@@ -183,7 +181,7 @@ class ColdStore {
   std::uint64_t gc_runs_ = 0;
   std::uint64_t gc_reclaimed_bytes_ = 0;
   bool recovered_with_loss_ = false;
-  mutable std::atomic<std::uint64_t> reads_{0};
+  mutable std::uint64_t reads_ = 0;
   std::unordered_map<std::string, TableState> tables_;
 };
 

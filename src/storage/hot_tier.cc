@@ -13,9 +13,8 @@ const HotTier::Meta* HotTier::Find(const std::string& key_bytes) const {
 }
 
 void HotTier::Touch(const Meta* meta) const {
-  meta->stamp.store(lru_tick_.fetch_add(1, std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  meta->stamp = lru_tick_++;
+  ++hits_;
 }
 
 void HotTier::Add(const std::string& key_bytes, std::uint64_t offset,
@@ -26,8 +25,7 @@ void HotTier::Add(const std::string& key_bytes, std::uint64_t offset,
   }
   it->second.offset = offset;
   it->second.age = age;
-  it->second.stamp.store(lru_tick_.fetch_add(1, std::memory_order_relaxed),
-                         std::memory_order_relaxed);
+  it->second.stamp = lru_tick_++;
   by_offset_[offset] = &it->first;
 }
 
@@ -85,13 +83,11 @@ bool HotTier::Unpin(const std::string& key_bytes) {
 }
 
 void HotTier::EnqueueFault(const std::string& key_bytes) const {
-  util::MutexLock lock(&fault_mu_);
   if (fault_queue_.size() >= kMaxQueuedFaults) return;
   fault_queue_.push_back(key_bytes);
 }
 
 std::vector<std::string> HotTier::DrainFaults() {
-  util::MutexLock lock(&fault_mu_);
   return std::exchange(fault_queue_, {});
 }
 
@@ -108,8 +104,7 @@ std::vector<std::string> HotTier::PlanDemotions(std::size_t capacity,
       out.push_back(key);
       continue;
     }
-    candidates.emplace_back(meta.stamp.load(std::memory_order_relaxed),
-                            &key);
+    candidates.emplace_back(meta.stamp, &key);
   }
   std::size_t remaining = metas_.size() - out.size();
   if (capacity > 0 && remaining > capacity) {

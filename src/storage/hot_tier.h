@@ -1,40 +1,37 @@
 #ifndef PISREP_STORAGE_HOT_TIER_H_
 #define PISREP_STORAGE_HOT_TIER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "util/clock.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace pisrep::storage {
 
 /// Residency bookkeeping for one tiered table: which rows are resident in
 /// the in-memory Table, how recently each was touched (a logical LRU
 /// clock), which are pinned by the live ScoreSnapshot, and which cold keys
-/// a concurrent read path has asked to be faulted in.
+/// the read path has asked to be faulted in.
 ///
 /// Keys are the row's encoded primary-key bytes (the same digest input the
 /// ColdStore indexes by). The maps are node-based, so Meta addresses stay
 /// stable and the offset→key view can point straight at map keys.
 ///
-/// Thread compatibility matches the rest of the storage layer: structural
-/// mutation is single-writer; const paths touched by concurrent readers —
-/// Touch and EnqueueFault — go through a relaxed atomic stamp and a small
-/// mutex respectively, so the read path never structurally mutates.
+/// Like the rest of the storage layer, a HotTier belongs to the one event
+/// loop thread that owns its server (DESIGN.md §15); nothing here is safe
+/// to call from a second thread. Touch and EnqueueFault are const because
+/// they run on the const read path: they update bookkeeping (the LRU stamp,
+/// the hit count, the fault queue), never which rows are resident.
 class HotTier {
  public:
   struct Meta {
     /// Current cold-store frame offset of this row (refreshed after GC).
     std::uint64_t offset = 0;
-    /// Logical last-touch tick; larger = more recently used. Relaxed
-    /// atomic: readers stamp it concurrently, only ordering-by-value at
-    /// demotion time matters. Mutable — Touch runs on the const read path.
-    mutable std::atomic<std::uint64_t> stamp{0};
+    /// Logical last-touch tick; larger = more recently used. Mutable —
+    /// Touch runs on the const read path.
+    mutable std::uint64_t stamp = 0;
     /// Pin refcount; pinned rows are never demoted.
     int pins = 0;
     /// Value of the policy's age column at last write (sim time).
@@ -54,7 +51,7 @@ class HotTier {
   /// Stamps `meta` with a fresh LRU tick and counts the hit.
   void Touch(const Meta* meta) const;
 
-  /// Registers a resident row (writer thread only).
+  /// Registers a resident row.
   void Add(const std::string& key_bytes, std::uint64_t offset,
            util::TimePoint age);
   void Remove(const std::string& key_bytes);
@@ -89,9 +86,7 @@ class HotTier {
                                          util::Duration demote_age,
                                          bool age_enabled) const;
 
-  std::uint64_t hits() const {
-    return hits_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t hits() const { return hits_; }
 
  private:
   static constexpr std::size_t kMaxQueuedFaults = 4096;
@@ -99,10 +94,9 @@ class HotTier {
   std::unordered_map<std::string, Meta> metas_;
   std::unordered_map<std::uint64_t, const std::string*> by_offset_;
   std::size_t pinned_rows_ = 0;
-  mutable std::atomic<std::uint64_t> lru_tick_{1};
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable util::Mutex fault_mu_;
-  mutable std::vector<std::string> fault_queue_ GUARDED_BY(fault_mu_);
+  mutable std::uint64_t lru_tick_ = 1;
+  mutable std::uint64_t hits_ = 0;
+  mutable std::vector<std::string> fault_queue_;
 };
 
 }  // namespace pisrep::storage

@@ -162,10 +162,10 @@ Result<Row> TieredTable::Get(const Value& key) const {
     }
     return ref.status();
   }
-  faults_.fetch_add(1, std::memory_order_relaxed);
+  ++faults_;
   PISREP_ASSIGN_OR_RETURN(Row row, DecodeRowBytes(ref->row_bytes));
   // Deferred admission: the next Tick promotes; the read path stays
-  // structurally const so concurrent readers need no lock.
+  // structurally const.
   tier_.EnqueueFault(key_bytes);
   return row;
 }
@@ -231,7 +231,7 @@ Status TieredTable::VisitOffset(
       row[static_cast<std::size_t>(verify_column)] != *expect) {
     return Status::Ok();
   }
-  faults_.fetch_add(1, std::memory_order_relaxed);
+  ++faults_;
   *visited = true;
   visit(row);
   return Status::Ok();
@@ -508,7 +508,7 @@ TieredTableStats TieredTable::stats() const {
   stats.cold_rows = size();
   stats.pinned_rows = tier_.pinned_rows();
   stats.hits = tier_.hits();
-  stats.faults = faults_.load(std::memory_order_relaxed);
+  stats.faults = faults_;
   stats.promotions = promotions_;
   stats.demotions = demotions_;
   stats.approx_resident_bytes = ApproxResidentBytes();

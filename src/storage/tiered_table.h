@@ -1,7 +1,6 @@
 #ifndef PISREP_STORAGE_TIERED_TABLE_H_
 #define PISREP_STORAGE_TIERED_TABLE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -71,8 +70,11 @@ inline std::uint64_t ApproxRowBytes(const Row& row) {
 ///    are bit-identical to an all-hot table fed the same mutations.
 ///  - Read paths are const and never structurally mutate: a cold Get
 ///    decodes a transient row and enqueues the key for promotion at the
-///    next Tick (deferred admission), which keeps concurrent snapshot /
-///    aggregation readers safe without a lock on the data itself.
+///    next Tick (deferred admission), so a read never invalidates a row
+///    reference a caller up the stack still holds.
+///
+/// A TieredTable belongs to the one event loop thread that owns its
+/// server (DESIGN.md §15); it takes no locks.
 ///
 /// Rows handed to visitors may be transient cold decodes: references are
 /// valid only for the duration of the callback, never retained.
@@ -189,7 +191,7 @@ class TieredTable {
   std::size_t cold_sec_entries_ = 0;
   /// Per ordered index: column value → frame offset, sorted.
   std::vector<std::multimap<Value, std::uint64_t, ValueLess>> cold_ord_;
-  mutable std::atomic<std::uint64_t> faults_{0};
+  mutable std::uint64_t faults_ = 0;
   std::uint64_t promotions_ = 0;
   std::uint64_t demotions_ = 0;
 };

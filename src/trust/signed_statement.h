@@ -39,7 +39,7 @@ bool VerifyManifest(const crypto::TrustStore& store,
                     const SoftwareManifest& manifest);
 
 /// Wire form: `<manifest vendor=.. file_name=.. version=.. software=..
-/// sig=../>` — carried identically by the XML and binary codecs.
+/// sig=../>`, carried inside SubmitManifest requests.
 xml::XmlNode ManifestToXml(const SoftwareManifest& manifest);
 util::Result<SoftwareManifest> ManifestFromXml(const xml::XmlNode& node);
 

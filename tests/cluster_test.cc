@@ -30,7 +30,6 @@
 #include "util/sha1.h"
 #include "util/string_util.h"
 #include "web/portal.h"
-#include "xml/xml_writer.h"
 
 namespace pisrep::cluster {
 namespace {
@@ -1379,117 +1378,6 @@ TEST(ClusterTuning, PerShardSweepCadenceIsHonored) {
   EXPECT_TRUE(cluster.primary(0)->aggregation().last_stats().full_sweep);
   EXPECT_FALSE(cluster.primary(1)->aggregation().last_stats().full_sweep);
   cluster.StopAll();
-}
-
-// ---------------------------------------------------------------------------
-// Router fast paths: binary codec, batched frames
-// ---------------------------------------------------------------------------
-
-/// Serialized response with the per-client envelope id neutralized, so
-/// answers from different clients compare bit for bit.
-std::string CanonicalResponse(const XmlNode& response) {
-  XmlNode copy = response;
-  copy.SetAttribute("id", "#");
-  return xml::WriteXml(copy);
-}
-
-/// QuerySoftware through the front door, returning the full response node.
-Result<XmlNode> QueryProgram(Harness& h, const std::string& session, int i) {
-  XmlNode request("request");
-  request.AddTextChild("session", session);
-  request.AddTextChild("id", ProgramMeta(i).id.ToHex());
-  return h.Call("QuerySoftware", std::move(request));
-}
-
-TEST(ClusterCodec, BinaryClientAndXmlClientGetIdenticalAnswers) {
-  obs::MetricsRegistry metrics;
-  Harness h(2, /*gossip_period=*/0, &metrics);
-  RunScriptedWorkload(h);
-  std::string session = h.Onboard("codec-reader");
-
-  net::RpcClient binary_client(&h.network(), &h.loop(), "bin-tester",
-                               "server");
-  ASSERT_TRUE(binary_client.Start().ok());
-  binary_client.set_codec(proto::WireCodec::kBinary);
-  auto call_binary = [&](const std::string& method,
-                         XmlNode params) -> Result<XmlNode> {
-    std::optional<Result<XmlNode>> response;
-    binary_client.Call(
-        method, std::move(params),
-        [&response](Result<XmlNode> r) { response = std::move(r); },
-        5 * util::kSecond);
-    h.Pump([&response] { return response.has_value(); });
-    if (!response.has_value()) return Status::Unavailable("no response");
-    return *std::move(response);
-  };
-
-  for (int i = 0; i < kPrograms; ++i) {
-    auto via_xml = QueryProgram(h, session, i);
-    XmlNode params("request");
-    params.AddTextChild("session", session);
-    params.AddTextChild("id", ProgramMeta(i).id.ToHex());
-    auto via_binary = call_binary("QuerySoftware", std::move(params));
-    ASSERT_TRUE(via_xml.ok()) << via_xml.status().ToString();
-    ASSERT_TRUE(via_binary.ok()) << via_binary.status().ToString();
-    EXPECT_EQ(CanonicalResponse(*via_binary), CanonicalResponse(*via_xml))
-        << "program " << i;
-  }
-  // The router counted the binary frames (same series the single-server
-  // RpcServer feeds, so dashboards see one number either way).
-  EXPECT_GE(metrics.GetCounter("pisrep_proto_binary_requests_total")->Value(),
-            static_cast<std::uint64_t>(kPrograms));
-}
-
-TEST(ClusterCodec, BatchedFrameThroughRouterCompletesEveryMember) {
-  obs::MetricsRegistry metrics;
-  // upstream_binary also flips the router->shard hop to the compact codec,
-  // so this exercises batch unbundling and binary forwarding at once.
-  Harness h(2, /*gossip_period=*/0, &metrics,
-            [](ClusterConfig&, RouterConfig& rc) {
-              rc.upstream_binary = true;
-            });
-  RunScriptedWorkload(h);
-  std::string session = h.Onboard("batch-reader");
-
-  net::RpcClient batch_client(&h.network(), &h.loop(), "batch-tester",
-                              "server");
-  ASSERT_TRUE(batch_client.Start().ok());
-  std::vector<std::optional<Result<XmlNode>>> responses(
-      static_cast<std::size_t>(kPrograms));
-  batch_client.BeginBatch();
-  for (int i = 0; i < kPrograms; ++i) {
-    XmlNode params("request");
-    params.AddTextChild("session", session);
-    params.AddTextChild("id", ProgramMeta(i).id.ToHex());
-    batch_client.Call(
-        "QuerySoftware", std::move(params),
-        [&responses, i](Result<XmlNode> r) {
-          responses[static_cast<std::size_t>(i)] = std::move(r);
-        },
-        5 * util::kSecond);
-  }
-  EXPECT_EQ(batch_client.FlushBatch(), 1u);  // one frame to one router
-  h.Pump([&responses] {
-    for (const auto& r : responses) {
-      if (!r.has_value()) return false;
-    }
-    return true;
-  });
-
-  // The router unbundled the batch and answered member by member; every
-  // answer matches the unbatched XML path bit for bit.
-  for (int i = 0; i < kPrograms; ++i) {
-    const auto& response = responses[static_cast<std::size_t>(i)];
-    ASSERT_TRUE(response.has_value()) << "program " << i;
-    ASSERT_TRUE(response->ok()) << (*response).status().ToString();
-    auto oracle = QueryProgram(h, session, i);
-    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-    EXPECT_EQ(CanonicalResponse(**response), CanonicalResponse(*oracle))
-        << "program " << i;
-  }
-  EXPECT_EQ(batch_client.batches_sent(), 1u);
-  EXPECT_GE(metrics.GetCounter("pisrep_rpc_batched_requests_total")->Value(),
-            static_cast<std::uint64_t>(kPrograms));
 }
 
 // ---------------------------------------------------------------------------

@@ -429,31 +429,31 @@ TEST(Layering, ClusterSitsAboveServerButBelowSim) {
 }
 
 TEST(Layering, ProtoCodecSpeaksXmlButNothingAbove) {
-  // The binary frame codec serializes the shared XML element tree, so
-  // proto/ may include xml/ (and core/util) — and net/ may speak the
-  // codec to negotiate framing per connection...
-  auto codec = AnalyzeOne("src/proto/binary_codec.cc",
-                          "#include \"proto/binary_codec.h\"\n"
-                          "#include \"xml/xml_node.h\"\n"
-                          "#include \"core/types.h\"\n"
-                          "#include \"util/status.h\"\n");
-  EXPECT_EQ(CountRule(codec, "layering"), 0) << FormatHuman(codec);
-  auto net = AnalyzeOne("src/net/rpc.cc",
-                        "#include \"proto/binary_codec.h\"\n"
-                        "#include \"proto/wire.h\"\n");
-  EXPECT_EQ(CountRule(net, "layering"), 0) << FormatHuman(net);
+  // proto's wire types convert to and from the shared XML element tree, so
+  // proto/ may include xml/ (and core/util)...
+  auto wire = AnalyzeOne("src/proto/wire.cc",
+                         "#include \"proto/wire.h\"\n"
+                         "#include \"xml/xml_node.h\"\n"
+                         "#include \"core/types.h\"\n"
+                         "#include \"util/status.h\"\n");
+  EXPECT_EQ(CountRule(wire, "layering"), 0) << FormatHuman(wire);
   // ...but proto must never look up at the transports or stores that
-  // carry its frames, and the leaf layers below it must not grow a
-  // dependency on wire encodings.
-  auto bad = AnalyzeOne("src/proto/binary_codec.cc",
+  // carry its types, and the layers below it must not grow a dependency
+  // on them. net carries plain XML frames and knows no payload type.
+  auto bad = AnalyzeOne("src/proto/wire.cc",
                         "#include \"net/rpc.h\"\n"        // line 1
                         "#include \"storage/database.h\"\n");  // line 2
-  EXPECT_TRUE(HasFinding(bad, "layering", "src/proto/binary_codec.cc", 1));
-  EXPECT_TRUE(HasFinding(bad, "layering", "src/proto/binary_codec.cc", 2));
+  EXPECT_TRUE(HasFinding(bad, "layering", "src/proto/wire.cc", 1));
+  EXPECT_TRUE(HasFinding(bad, "layering", "src/proto/wire.cc", 2));
   EXPECT_EQ(CountRule(bad, "layering"), 2) << FormatHuman(bad);
   auto storage = AnalyzeOne("src/storage/wal.cc",
-                            "#include \"proto/binary_codec.h\"\n");
+                            "#include \"proto/wire.h\"\n");
   EXPECT_TRUE(HasFinding(storage, "layering", "src/storage/wal.cc", 1));
+  auto net = AnalyzeOne("src/net/rpc.cc",
+                        "#include \"xml/xml_parser.h\"\n"  // line 1
+                        "#include \"proto/wire.h\"\n");    // line 2
+  EXPECT_TRUE(HasFinding(net, "layering", "src/net/rpc.cc", 2));
+  EXPECT_EQ(CountRule(net, "layering"), 1) << FormatHuman(net);
 }
 
 TEST(Layering, GossipAndAntiEntropyStayInTheClusterLayer) {

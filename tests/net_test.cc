@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -7,7 +8,7 @@
 #include "net/fault_injector.h"
 #include "net/network.h"
 #include "net/rpc.h"
-#include "proto/binary_codec.h"
+#include "obs/metrics.h"
 #include "xml/xml_node.h"
 #include "xml/xml_writer.h"
 
@@ -410,182 +411,116 @@ TEST(RpcDuplicationTest, DuplicatedDeliveriesFireCallbackExactlyOnce) {
   EXPECT_EQ(server.requests_handled(), 2u);
 }
 
-// --- Binary codec and batching over RPC -------------------------------------
+// --- Malformed frames ------------------------------------------------------
 
-TEST_F(RpcFixture, BinaryCodecRoundTripsEndToEnd) {
-  server.RegisterMethod("Echo",
-                        [](const XmlNode& request) -> util::Result<XmlNode> {
-                          XmlNode result("result");
-                          result.AddTextChild(
-                              "echo", request.ChildText("msg").value_or(""));
-                          return result;
-                        });
-  client.set_codec(proto::WireCodec::kBinary);
-  std::string echoed;
-  XmlNode params("request");
-  params.AddTextChild("msg", "binary & <weird> bytes \x01\x02");
-  client.Call("Echo", std::move(params),
-              [&](util::Result<XmlNode> response) {
-                ASSERT_TRUE(response.ok());
-                echoed = response->ChildText("echo").value_or("");
-              });
-  loop.RunAll();
-  EXPECT_EQ(echoed, "binary & <weird> bytes \x01\x02");
-  EXPECT_EQ(server.binary_requests(), 1u);
-  EXPECT_EQ(server.requests_handled(), 1u);
-}
-
-TEST_F(RpcFixture, BinaryAnswersArriveBitEquivalentToXml) {
-  server.RegisterMethod("Fixed",
-                        [](const XmlNode&) -> util::Result<XmlNode> {
-                          XmlNode result("result");
-                          result.SetAttribute("known", "1");
-                          XmlNode& score = result.AddChild("score");
-                          score.SetAttribute("value", "7.250000");
-                          result.AddTextChild("note", "same <bytes>");
-                          return result;
-                        });
-  std::vector<std::string> answers;
-  for (proto::WireCodec codec :
-       {proto::WireCodec::kXml, proto::WireCodec::kBinary}) {
-    client.set_codec(codec);
-    client.Call("Fixed", XmlNode("request"),
-                [&](util::Result<XmlNode> response) {
-                  ASSERT_TRUE(response.ok());
-                  // Strip the envelope id (differs per call) and compare
-                  // canonical bytes of the payload the caller sees.
-                  response->SetAttribute("id", "");
-                  answers.push_back(xml::WriteXml(*response));
-                });
-    loop.RunAll();
-  }
-  ASSERT_EQ(answers.size(), 2u);
-  EXPECT_EQ(answers[0], answers[1]);
-}
-
-TEST_F(RpcFixture, BinaryCodecShrinksWireBytes) {
-  server.RegisterMethod("Echo",
-                        [](const XmlNode& request) -> util::Result<XmlNode> {
-                          XmlNode result("result");
-                          result.AddTextChild(
-                              "echo", request.ChildText("msg").value_or(""));
-                          return result;
-                        });
-  auto run_calls = [&](proto::WireCodec codec) {
-    client.set_codec(codec);
-    std::uint64_t before = network.bytes_sent();
-    for (int i = 0; i < 10; ++i) {
-      XmlNode params("request");
-      params.AddTextChild("msg", "payload-" + std::to_string(i));
-      client.Call("Echo", std::move(params), [](util::Result<XmlNode>) {});
-    }
-    loop.RunAll();
-    return network.bytes_sent() - before;
-  };
-  std::uint64_t xml_bytes = run_calls(proto::WireCodec::kXml);
-  std::uint64_t binary_bytes = run_calls(proto::WireCodec::kBinary);
-  EXPECT_LT(binary_bytes, xml_bytes);
-}
-
-TEST_F(RpcFixture, BatchFlushesOneFramePerServer) {
-  server.RegisterMethod("Id",
-                        [](const XmlNode& request) -> util::Result<XmlNode> {
-                          XmlNode result("result");
-                          result.AddTextChild(
-                              "v", request.ChildText("v").value_or(""));
-                          return result;
-                        });
-  std::vector<std::string> results(8);
-  std::uint64_t sent_before = network.messages_sent();
-  client.BeginBatch();
-  for (int i = 0; i < 8; ++i) {
-    XmlNode params("request");
-    params.AddTextChild("v", std::to_string(i));
-    client.Call("Id", std::move(params),
-                [&results, i](util::Result<XmlNode> response) {
-                  ASSERT_TRUE(response.ok());
-                  results[i] = response->ChildText("v").value_or("");
-                });
-  }
-  EXPECT_EQ(network.messages_sent(), sent_before);  // nothing on the wire yet
-  EXPECT_EQ(client.FlushBatch(), 1u);               // one frame, one server
-  loop.RunAll();
-  // One request frame + one batched response frame for 8 calls.
-  EXPECT_EQ(network.messages_sent() - sent_before, 2u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(results[i], std::to_string(i));
-  EXPECT_EQ(server.batched_requests(), 8u);
-  EXPECT_EQ(client.batches_sent(), 1u);
-}
-
-TEST_F(RpcFixture, SingleCallBatchFallsBackToPlainFrame) {
-  server.RegisterMethod("Ping", [](const XmlNode&) -> util::Result<XmlNode> {
-    return XmlNode("result");
-  });
-  bool ok = false;
-  client.BeginBatch();
-  client.Call("Ping", XmlNode("request"),
-              [&](util::Result<XmlNode> response) { ok = response.ok(); });
-  EXPECT_EQ(client.FlushBatch(), 1u);
-  loop.RunAll();
-  EXPECT_TRUE(ok);
-  // A one-element batch is sent unbatched — byte-identical to a plain
-  // call, so the server's batch counter stays untouched.
-  EXPECT_EQ(server.batched_requests(), 0u);
-  EXPECT_EQ(client.batches_sent(), 0u);
-}
-
-TEST_F(RpcFixture, BatchMemberErrorDoesNotPoisonSiblings) {
-  server.RegisterMethod("Good", [](const XmlNode&) -> util::Result<XmlNode> {
-    return XmlNode("result");
-  });
-  server.RegisterMethod("Bad", [](const XmlNode&) -> util::Result<XmlNode> {
-    return util::Status::PermissionDenied("nope");
-  });
-  util::Status good_status = util::Status::Internal("unset");
-  util::Status bad_status;
-  client.BeginBatch();
-  client.Call("Good", XmlNode("request"),
-              [&](util::Result<XmlNode> response) {
-                good_status = response.status();
-              });
-  client.Call("Bad", XmlNode("request"),
-              [&](util::Result<XmlNode> response) {
-                bad_status = response.status();
-              });
-  client.FlushBatch();
-  loop.RunAll();
-  EXPECT_TRUE(good_status.ok());
-  EXPECT_EQ(bad_status.code(), util::StatusCode::kPermissionDenied);
-}
-
-TEST(RpcBatchTimeoutTest, LostBatchRetriesMembersIndividually) {
+TEST(RpcMalformedTest, GarbageRequestGetsNoReplyAndCountsAsMalformed) {
   EventLoop loop;
-  NetworkConfig config;
-  config.base_latency = 5 * kMillisecond;
-  config.jitter = 0;
-  SimNetwork network(&loop, config);
-  RpcClient client(&network, &loop, "client", "server");
-  ASSERT_TRUE(client.Start().ok());
-  client.set_max_retries(2);
+  SimNetwork network(&loop, RpcFixture::MakeConfig());
+  RpcServer server(&network, "server");
+  obs::MetricsRegistry metrics;
+  server.AttachObservability(&metrics, nullptr);
+  ASSERT_TRUE(server.Start().ok());
+  int replies = 0;
+  ASSERT_TRUE(
+      network.Bind("prober", [&](const Message&) { ++replies; }).ok());
 
-  // No server bound: the batch frame evaporates; each member must time
-  // out, retry individually (unbatched) and finally fail kUnavailable.
-  int failed = 0;
-  client.BeginBatch();
-  for (int i = 0; i < 3; ++i) {
-    client.Call(
-        "Ping", XmlNode("request"),
-        [&](util::Result<XmlNode> response) {
-          EXPECT_EQ(response.status().code(),
-                    util::StatusCode::kUnavailable);
-          ++failed;
-        },
-        /*timeout=*/100 * kMillisecond);
-  }
-  client.FlushBatch();
+  network.Send("prober", "server", "\x02\x07not <xml at all");
+  network.Send("prober", "server", "<request id=\"1\" method=\"Echo\"");
+  network.Send("prober", "server", "<reply id=\"2\" method=\"Echo\"/>");
   loop.RunAll();
-  EXPECT_EQ(failed, 3);
-  EXPECT_GE(client.retries_sent(), 3u);
+
+  EXPECT_EQ(replies, 0);
+  EXPECT_EQ(server.requests_failed(), 3u);
+  EXPECT_EQ(server.requests_handled(), 0u);
+  obs::Counter* malformed = metrics.GetCounter(
+      obs::WithLabel("pisrep_net_rpc_errors_total", "code", "malformed"));
+  EXPECT_EQ(malformed->Value(), 3u);
+}
+
+/// A client whose server is a test-controlled address: requests are
+/// recorded, and the test decides what comes back.
+struct RpcCorruptResponseTest : ::testing::Test {
+  RpcCorruptResponseTest()
+      : network(&loop, RpcFixture::MakeConfig()),
+        client(&network, &loop, "client", "server") {
+    auto record = [this](const Message& m) { requests.push_back(m.payload); };
+    EXPECT_TRUE(network.Bind("server", record).ok());
+    EXPECT_TRUE(client.Start().ok());
+  }
+
+  /// Issues `count` calls with ids 1..count; outcome i lands in slot i-1.
+  void IssueCalls(int count) {
+    outcomes.resize(static_cast<std::size_t>(count));
+    issued_at = loop.Now();
+    for (int i = 0; i < count; ++i) {
+      client.Call(
+          "Echo", XmlNode("request"),
+          [this, i](util::Result<XmlNode> response) {
+            outcomes[static_cast<std::size_t>(i)] = response.status();
+            completed_at.push_back(loop.Now());
+          },
+          /*timeout=*/1 * kSecond);
+    }
+  }
+
+  void Reply(const std::string& payload) {
+    network.Send("server", "client", payload);
+  }
+
+  EventLoop loop;
+  SimNetwork network;
+  RpcClient client;
+  std::vector<std::string> requests;
+  std::vector<std::optional<util::Status>> outcomes;
+  util::TimePoint issued_at = 0;
+  std::vector<util::TimePoint> completed_at;
+};
+
+TEST_F(RpcCorruptResponseTest, TruncatedResponseFailsItsCallAtOnce) {
+  IssueCalls(1);
+  loop.RunUntil(loop.Now() + 10 * kMillisecond);
+  ASSERT_EQ(requests.size(), 1u);
+  EXPECT_NE(requests[0].find("id=\"1\""), std::string::npos);
+
+  // The answer was cut short, but its envelope id is still legible.
+  Reply("<response id=\"1\" status=\"ok\"><result><v>");
+  loop.RunUntil(loop.Now() + 100 * kMillisecond);
+
+  ASSERT_TRUE(outcomes[0].has_value());
+  EXPECT_EQ(outcomes[0]->code(), util::StatusCode::kDataLoss);
+  ASSERT_EQ(completed_at.size(), 1u);
+  EXPECT_LT(completed_at[0], issued_at + 1 * kSecond);  // before timeout
+  EXPECT_EQ(client.corrupt_responses(), 1u);
+  EXPECT_EQ(client.timeouts(), 0u);
+}
+
+TEST_F(RpcCorruptResponseTest, MangledEnvelopeIdNeverFailsAnotherCall) {
+  IssueCalls(3);
+  loop.RunUntil(loop.Now() + 10 * kMillisecond);
+  ASSERT_EQ(requests.size(), 3u);
+
+  // Call 3's answer with its own id mangled. The only legible id="..." is
+  // a child's attribute, a software digest that starts with "2": it must
+  // not be taken for call 2's id.
+  Reply("<response id=#3\" status=\"ok\"><software "
+        "id=\"2fd4e1c67a2d28fced849ee1bb76e7391b93eb12\"/></response>");
+  loop.RunUntil(loop.Now() + 100 * kMillisecond);
+  EXPECT_EQ(client.corrupt_responses(), 1u);
+  for (const auto& outcome : outcomes) EXPECT_FALSE(outcome.has_value());
+
+  // Call 2's own answer still completes it.
+  Reply("<response id=\"2\" status=\"ok\"/>");
+  loop.RunUntil(loop.Now() + 100 * kMillisecond);
+  ASSERT_TRUE(outcomes[1].has_value());
+  EXPECT_TRUE(outcomes[1]->ok()) << outcomes[1]->ToString();
+
+  // Calls 1 and 3 never got a legible answer: their timeouts cover them.
+  loop.RunAll();
+  ASSERT_TRUE(outcomes[0].has_value());
+  ASSERT_TRUE(outcomes[2].has_value());
+  EXPECT_EQ(outcomes[0]->code(), util::StatusCode::kUnavailable);
+  EXPECT_EQ(outcomes[2]->code(), util::StatusCode::kUnavailable);
+  EXPECT_EQ(client.timeouts(), 2u);
 }
 
 TEST(StatusCodeNameTest, RoundTripsThroughWireNames) {

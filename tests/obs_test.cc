@@ -14,7 +14,6 @@
 #include "obs/metrics.h"
 #include "obs/snapshot_logger.h"
 #include "obs/trace.h"
-#include "proto/binary_codec.h"
 #include "server/reputation_server.h"
 #include "storage/database.h"
 #include "util/clock.h"
@@ -410,55 +409,6 @@ TEST(SnapshotLoggerTest, DisabledWithoutRegistryOrPeriod) {
   EXPECT_FALSE(no_period.Tick(0));
   EXPECT_EQ(no_registry.snapshots(), 0u);
   EXPECT_EQ(no_period.snapshots(), 0u);
-}
-
-// --- Codec / batching counters (DESIGN.md §14) ------------------------------
-
-TEST(RpcCodecMetricsTest, BinaryAndBatchedCountersTrackTraffic) {
-  net::EventLoop loop;
-  net::NetworkConfig config;
-  config.base_latency = 5 * kMillisecond;
-  config.jitter = 0;
-  net::SimNetwork network(&loop, config);
-  net::RpcServer server(&network, "server");
-  net::RpcClient client(&network, &loop, "client", "server");
-  MetricsRegistry registry;
-  Tracer tracer(&loop.clock());
-  server.AttachObservability(&registry, &tracer);
-  client.AttachObservability(&registry, &tracer);
-  ASSERT_TRUE(server.Start().ok());
-  ASSERT_TRUE(client.Start().ok());
-  server.RegisterMethod("Ping", [](const XmlNode&) -> util::Result<XmlNode> {
-    return XmlNode("result");
-  });
-
-  Counter* binary =
-      registry.GetCounter("pisrep_proto_binary_requests_total");
-  Counter* batched = registry.GetCounter("pisrep_rpc_batched_requests_total");
-
-  // Plain XML call: neither counter moves.
-  client.Call("Ping", XmlNode("request"), [](util::Result<XmlNode>) {});
-  loop.RunAll();
-  EXPECT_EQ(binary->Value(), 0u);
-  EXPECT_EQ(batched->Value(), 0u);
-
-  // One binary frame.
-  client.set_codec(proto::WireCodec::kBinary);
-  client.Call("Ping", XmlNode("request"), [](util::Result<XmlNode>) {});
-  loop.RunAll();
-  EXPECT_EQ(binary->Value(), 1u);
-  EXPECT_EQ(batched->Value(), 0u);
-
-  // One binary batch frame carrying three members: the frame counts once
-  // as binary, each member once as batched.
-  client.BeginBatch();
-  for (int i = 0; i < 3; ++i) {
-    client.Call("Ping", XmlNode("request"), [](util::Result<XmlNode>) {});
-  }
-  client.FlushBatch();
-  loop.RunAll();
-  EXPECT_EQ(binary->Value(), 2u);
-  EXPECT_EQ(batched->Value(), 3u);
 }
 
 TEST(ServerSnapshotMetricsTest, SnapshotAgeGaugeAndHitCountersAreWired) {

@@ -117,6 +117,19 @@ TEST(XmlParserTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(ParseXml("<a>&bogus;</a>").ok());       // unknown entity
 }
 
+TEST(XmlParserTest, RejectsTruncatedStartTag) {
+  // A request datagram cut off inside its envelope's start tag.
+  auto parsed = ParseXml("<request id='1'");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument);
+}
+
+TEST(XmlParserTest, EmptyPayloadIsAnError) {
+  // An empty or blank datagram carries no element to answer.
+  EXPECT_FALSE(ParseXml("").ok());
+  EXPECT_FALSE(ParseXml(" \n\t").ok());
+}
+
 TEST(XmlParserTest, DepthCapRejectsHostileNesting) {
   // 10k nested elements must be rejected cleanly, not overflow the stack.
   std::string deep;
@@ -143,7 +156,8 @@ TEST(XmlParserTest, WhitespaceBetweenChildrenIsDropped) {
 // Property test: random trees survive a write→parse round trip, compact and
 // pretty.
 XmlNode RandomTree(util::Rng& rng, int depth) {
-  XmlNode node("n" + std::to_string(rng.NextBelow(1000)));
+  XmlNode node(util::StrFormat(
+      "n%llu", static_cast<unsigned long long>(rng.NextBelow(1000))));
   int attrs = static_cast<int>(rng.NextBelow(3));
   for (int i = 0; i < attrs; ++i) {
     node.SetAttribute(util::StrFormat("a%d", i),

@@ -401,12 +401,12 @@ class LayeringChecker : public Checker {
         {"xml", {"xml", "util"}},
         {"crypto", {"crypto", "util"}},
         {"storage", {"storage", "util"}},
-        // net speaks the shared wire codecs (proto/binary_codec.h) but
-        // must never see server or client types.
-        {"net", {"net", "obs", "util", "xml", "proto"}},
+        // net carries XML frames (§3.2) and knows nothing of the payload
+        // types: proto, server and client all sit above it.
+        {"net", {"net", "obs", "util", "xml"}},
         {"core", {"core", "util"}},
-        // proto owns the frame codecs, which serialize the shared XML
-        // element tree — hence xml, but still nothing above it.
+        // proto's wire types convert to and from the shared XML element
+        // tree — hence xml, but still nothing above it.
         {"proto", {"proto", "core", "util", "xml"}},
         // trust holds the signed-statement/policy/audit plane: above
         // crypto, storage and proto (it persists chains and serializes
