@@ -49,7 +49,7 @@
 #include "net/rpc.h"
 #include "server/reputation_server.h"
 #include "storage/database.h"
-#include "storage/tiered_table.h"
+#include "storage/table.h"
 #include "storage/value.h"
 #include "trust/audit_log.h"
 #include "util/sha1.h"
@@ -385,7 +385,7 @@ int Run(const Shape& shape) {
   Rule();
 
   // --- 3. Sampled tamper sweep ----------------------------------------------
-  auto table = chain_db->GetTiered(trust::kAuditTable);
+  auto table = chain_db->GetTable(trust::kAuditTable);
   MustOk(table, "audit table");
   Lcg lcg;
   std::size_t detected = 0;

@@ -50,10 +50,7 @@ std::array<std::uint64_t, kDigestBuckets> RangeDigestsOf(
     storage::Database* db) {
   std::array<std::uint64_t, kDigestBuckets> buckets{};
   for (const std::string& name : db->TableNames()) {
-    // The tier-aware facade iterates both tiers, so a digest covers cold
-    // rows too — a primary and an all-hot replica holding the same data
-    // must agree regardless of residency.
-    auto table = db->GetTiered(name);
+    auto table = db->GetTable(name);
     if (!table.ok()) continue;
     std::size_t pk = (*table)->schema().primary_key_index();
     (*table)->ForEach([&](const storage::Row& row) {
@@ -81,7 +78,7 @@ std::string FormatRangeDigests(
 
 std::string ScoreFingerprint(storage::Database* db,
                              const std::string& id_hex) {
-  auto table = db->GetTiered("software_scores");
+  auto table = db->GetTable("software_scores");
   if (!table.ok()) return "absent";
   auto row = (*table)->Get(storage::Value::Str(id_hex));
   if (!row.ok()) return "absent";

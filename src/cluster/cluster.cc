@@ -619,8 +619,7 @@ Status ShardCluster::MigrateShardData(ShardNode* source) {
   storage::Database* db = source->db();
   for (const std::string& table_name : db->TableNames()) {
     if (RoutingColumnOf(table_name) == nullptr) continue;
-    // Facade access: migration must drain cold rows off the node too.
-    auto table = db->GetTiered(table_name);
+    auto table = db->GetTable(table_name);
     if (!table.ok()) continue;
     const storage::TableSchema& schema = (*table)->schema();
     std::size_t pk = schema.primary_key_index();
@@ -640,7 +639,7 @@ Status ShardCluster::MigrateShardData(ShardNode* source) {
       if (target == nullptr) {
         return Status::Internal("row owner " + owner + " is not a shard");
       }
-      auto target_table = target->db()->GetTiered(table_name);
+      auto target_table = target->db()->GetTable(table_name);
       if (!target_table.ok()) return target_table.status();
       // Logged on both sides: the receivers' and the source's replicas
       // stream the move through ordinary WAL shipping.
@@ -655,9 +654,9 @@ Status ShardCluster::MigrateShardData(ShardNode* source) {
 
 Status ShardCluster::CopyBroadcastTables(ShardNode* from, ShardNode* to) {
   for (const char* table_name : {"users", "activations", "feeds"}) {
-    auto source = from->db()->GetTiered(table_name);
+    auto source = from->db()->GetTable(table_name);
     if (!source.ok()) continue;  // feature not enabled on this deployment
-    auto target = to->db()->GetTiered(table_name);
+    auto target = to->db()->GetTable(table_name);
     if (!target.ok()) return target.status();
     std::vector<storage::Row> rows;
     (*source)->ForEach([&](const storage::Row& row) { rows.push_back(row); });
@@ -669,7 +668,7 @@ Status ShardCluster::CopyBroadcastTables(ShardNode* from, ShardNode* to) {
 }
 
 void ShardCluster::ClearVendorScores(ShardNode* node) {
-  auto table = node->db()->GetTiered("vendor_scores");
+  auto table = node->db()->GetTable("vendor_scores");
   if (!table.ok()) return;
   std::size_t pk = (*table)->schema().primary_key_index();
   std::vector<storage::Value> keys;

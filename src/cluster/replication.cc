@@ -70,17 +70,8 @@ void ReplicationLog::Clear() {
 // ---------------------------------------------------------------------------
 
 ReplicaNode::ReplicaNode(net::SimNetwork* network, std::string address)
-    : ReplicaNode(network, std::move(address), nullptr) {}
-
-ReplicaNode::ReplicaNode(net::SimNetwork* network, std::string address,
-                         DatabaseFactory factory)
-    : network_(network),
-      address_(std::move(address)),
-      factory_(std::move(factory)) {
-  if (!factory_) {
-    factory_ = [] { return storage::Database::Open(""); };
-  }
-  auto db = factory_();
+    : network_(network), address_(std::move(address)) {
+  auto db = storage::Database::Open("");
   PISREP_CHECK(db.ok()) << "replica database open failed: "
                         << db.status().ToString();
   db_ = std::move(db).value();
@@ -148,10 +139,9 @@ Result<XmlNode> ReplicaNode::HandleReplicate(const XmlNode& request) {
     // has since applied on top.
     std::uint64_t snap_through = AttrU64(request, "snap_through");
     if (snap_through >= applied_seq_ || stale_) {
-      auto fresh = factory_();
+      auto fresh = storage::Database::Open("");
       if (!fresh.ok()) {
-        // A tiered factory does file IO and can genuinely fail; stay
-        // stale on the old database so the primary keeps retrying.
+        // Stay stale on the old database so the primary keeps retrying.
         PISREP_LOG(kWarning) << "replica " << address_
                              << " failed snapshot reopen: "
                              << fresh.status().ToString();
@@ -416,9 +406,7 @@ void ReplicationShipper::SendSnapshot(std::size_t k) {
     return Status::Ok();
   });
   if (!exported.ok()) {
-    // A tiered primary streams its cold block file straight from disk, so
-    // export is real IO now and can fail transiently. Leave the channel
-    // reset-pending and retry after the usual delay.
+    // Leave the channel reset-pending and retry after the usual delay.
     PISREP_LOG(kWarning) << "snapshot export for replica "
                          << replica_address(static_cast<int>(k))
                          << " failed: " << exported.ToString()

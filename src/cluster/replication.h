@@ -107,19 +107,9 @@ class ReplicationLog {
 /// those from tables, exactly like a process restart would.
 class ReplicaNode {
  public:
-  /// Produces the node's backing database — at construction and on every
-  /// snapshot reset. Must yield an *empty* database: a tiered factory
-  /// (backup at flat memory, DESIGN.md §15) has to clear its WAL and cold
-  /// block file before opening, or the reset would replay stale rows
-  /// under the incoming snapshot.
-  using DatabaseFactory =
-      std::function<util::Result<std::unique_ptr<storage::Database>>()>;
-
-  /// The network must outlive the node. The default factory opens a plain
-  /// in-memory database.
+  /// The network must outlive the node. The node's backing database is
+  /// in memory, opened empty at construction and on every snapshot reset.
   ReplicaNode(net::SimNetwork* network, std::string address);
-  ReplicaNode(net::SimNetwork* network, std::string address,
-              DatabaseFactory factory);
 
   /// Binds the replication endpoints.
   util::Status Start();
@@ -147,7 +137,6 @@ class ReplicaNode {
 
   net::SimNetwork* network_;
   std::string address_;
-  DatabaseFactory factory_;
   std::unique_ptr<storage::Database> db_;
   std::unique_ptr<net::RpcServer> rpc_;
   std::uint64_t applied_seq_ = 0;

@@ -94,6 +94,10 @@ Router::Router(net::SimNetwork* network, net::EventLoop* loop,
         metrics_->GetCounter("pisrep_cluster_router_effect_failures_total");
     read_repairs_metric_ =
         metrics_->GetCounter("pisrep_cluster_read_repairs_total");
+    // Same family and label as RpcServer's count of unparseable requests,
+    // so a deployment's front doors report malformed traffic in one place.
+    malformed_metric_ = metrics_->GetCounter(
+        obs::WithLabel("pisrep_net_rpc_errors_total", "code", "malformed"));
     scatter_ms_ = metrics_->GetHistogram(
         "pisrep_cluster_router_scatter_ms",
         {10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0});
@@ -129,7 +133,11 @@ obs::Counter* Router::ShardRequestCounter(const std::string& shard) {
 
 void Router::HandleMessage(const net::Message& message) {
   auto parsed = xml::ParseXml(message.payload);
-  if (!parsed.ok() || parsed->name() != "request") return;
+  if (!parsed.ok() || parsed->name() != "request") {
+    // Malformed datagram: nothing sensible to reply to.
+    if (malformed_metric_ != nullptr) malformed_metric_->Increment();
+    return;
+  }
   const XmlNode& request = *parsed;
   std::string id = request.AttributeOr("id", "");
   std::string method = request.AttributeOr("method", "");

@@ -196,6 +196,7 @@ class Router {
   obs::Counter* ownership_moved_metric_ = nullptr;
   obs::Counter* effect_failures_metric_ = nullptr;
   obs::Counter* read_repairs_metric_ = nullptr;
+  obs::Counter* malformed_metric_ = nullptr;
   obs::Histogram* scatter_ms_ = nullptr;
 };
 

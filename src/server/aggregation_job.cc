@@ -207,7 +207,6 @@ std::size_t AggregationJob::RunOnce(util::TimePoint now, bool full_sweep) {
   };
 
   std::size_t recomputed = 0;
-  if (collect_recomputed_) stats_.recomputed_ids.reserve(targets.size());
   for (const core::SoftwareId& software : targets) {
     util::Status put = registry_->PutScore(compute(software));
     if (!put.ok()) {
@@ -216,7 +215,6 @@ std::size_t AggregationJob::RunOnce(util::TimePoint now, bool full_sweep) {
       continue;
     }
     ++recomputed;
-    if (collect_recomputed_) stats_.recomputed_ids.push_back(software);
   }
   stats_.recomputed = recomputed;
   stats_.skipped = stats_.candidates - std::min(stats_.candidates,

@@ -31,11 +31,6 @@ struct AggregationStats {
   std::size_t dirty_priors = 0; ///< dirtied by a bootstrap-prior write
   std::size_t vendors_recomputed = 0;
   std::int64_t wall_micros = 0; ///< real elapsed time (instrumentation only)
-  /// Software whose score write landed this run, in write order. Filled
-  /// only when AggregationJob::set_collect_recomputed is on (the tiered
-  /// server pins these rows resident under the published snapshot);
-  /// otherwise left empty so untiered runs pay nothing.
-  std::vector<core::SoftwareId> recomputed_ids;
 
   /// The kInfo log line for this run. The metrics emission and the log
   /// derive from the same snapshot via this single formatter, so the two
@@ -83,12 +78,6 @@ class AggregationJob {
   /// (the first run and the explicit escape hatch still sweep fully).
   void set_full_sweep_every(std::uint64_t n) { full_sweep_every_ = n; }
   std::uint64_t full_sweep_every() const { return full_sweep_every_; }
-
-  /// When on, each run records the ids it recomputed in
-  /// AggregationStats::recomputed_ids (consumed by the tiered server's
-  /// snapshot-pinning hook). Off by default — the vector can be large.
-  void set_collect_recomputed(bool collect) { collect_recomputed_ = collect; }
-  bool collect_recomputed() const { return collect_recomputed_; }
 
   /// Standing escape hatch: while set, *every* run (scheduled or manual)
   /// is a full sweep, regardless of `full_sweep_every`. This used to exist
@@ -148,7 +137,6 @@ class AggregationJob {
   bool trust_weighting_ = true;
   std::uint64_t full_sweep_every_ = kDefaultFullSweepEvery;
   bool force_full_sweep_ = false;
-  bool collect_recomputed_ = false;
   /// Trust generation already folded into scores by previous runs.
   std::uint64_t trust_generation_seen_ = 0;
   std::uint64_t runs_ = 0;

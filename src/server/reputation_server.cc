@@ -118,25 +118,10 @@ ReputationServer::ReputationServer(storage::Database* db,
   // Epoch publication (DESIGN.md §14): one snapshot over the recovered
   // database now, then one after every aggregation run — the post-run hook
   // fires after all of the run's writes, for scheduled and manual runs.
-  // On a tiered database the hook also swaps the snapshot pin set so the
-  // rows the published snapshot references stay resident (§15).
-  if (db_->tier_enabled()) aggregation_.set_collect_recomputed(true);
-  aggregation_.set_post_run([this](const AggregationStats& stats) {
-    PublishSnapshot();
-    RepinScores(stats);
-  });
+  aggregation_.set_post_run(
+      [this](const AggregationStats&) { PublishSnapshot(); });
   PublishSnapshot();
   UpdateStorageMetrics();
-  if (loop_ != nullptr && db_->tier_enabled() &&
-      config_.tier_tick_period > 0) {
-    tier_token_ = std::make_shared<int>(0);
-    loop_->SchedulePeriodic(
-        loop_->Now() + config_.tier_tick_period, config_.tier_tick_period,
-        [this, token = std::weak_ptr<int>(tier_token_)] {
-          if (token.expired()) return;
-          TierTickNow();
-        });
-  }
   if (loop_ != nullptr && config_.metrics != nullptr &&
       config_.metrics_snapshot_period > 0) {
     snapshot_logger_ = std::make_unique<obs::SnapshotLogger>(
@@ -261,67 +246,15 @@ void ReputationServer::PublishSnapshot() {
   if (snapshot_age_gauge_) snapshot_age_gauge_->Set(0);
 }
 
-void ReputationServer::TierTickNow() {
-  if (!db_->tier_enabled()) return;
-  Status ticked = db_->TierTick(Now());
-  if (!ticked.ok()) {
-    PISREP_LOG(kWarning) << "tier tick failed: " << ticked;
-  }
-  UpdateStorageMetrics();
-}
-
-void ReputationServer::RepinScores(const AggregationStats& stats) {
-  if (!db_->tier_enabled()) return;
-  registry_.UnpinScores(pinned_scores_);
-  pinned_scores_ = stats.recomputed_ids;
-  if (pinned_scores_.size() > config_.max_pinned_scores) {
-    pinned_scores_.resize(config_.max_pinned_scores);
-  }
-  registry_.PinScores(pinned_scores_);
-}
-
 void ReputationServer::UpdateStorageMetrics() {
   if (config_.metrics == nullptr) return;
   obs::MetricsRegistry* metrics = config_.metrics;
-  // WAL compaction counters exist for every durable database, tiered or
-  // not (the seed of the pisrep_storage_* family).
   metrics->GetGauge("pisrep_storage_wal_frames_since_compaction")
       ->Set(static_cast<std::int64_t>(db_->FramesSinceCompaction()));
   std::size_t compactions = db_->compactions();
   metrics->GetCounter("pisrep_storage_compactions_total")
       ->Increment(compactions - compactions_seen_);
   compactions_seen_ = compactions;
-  if (!db_->tier_enabled()) return;
-  storage::DatabaseTierStats now = db_->TierStats();
-  metrics->GetGauge("pisrep_storage_hot_rows")
-      ->Set(static_cast<std::int64_t>(now.hot_rows));
-  metrics->GetGauge("pisrep_storage_cold_rows")
-      ->Set(static_cast<std::int64_t>(now.cold_rows));
-  metrics->GetGauge("pisrep_storage_pinned_rows")
-      ->Set(static_cast<std::int64_t>(now.pinned_rows));
-  metrics->GetGauge("pisrep_storage_resident_bytes")
-      ->Set(static_cast<std::int64_t>(now.resident_bytes));
-  metrics->GetGauge("pisrep_storage_cold_file_bytes")
-      ->Set(static_cast<std::int64_t>(now.cold_file_bytes));
-  metrics->GetGauge("pisrep_storage_cold_dead_bytes")
-      ->Set(static_cast<std::int64_t>(now.cold_dead_bytes));
-  metrics->GetCounter("pisrep_storage_hits_total")
-      ->Increment(now.hits - storage_seen_.hits);
-  metrics->GetCounter("pisrep_storage_faults_total")
-      ->Increment(now.faults - storage_seen_.faults);
-  metrics->GetCounter("pisrep_storage_promotions_total")
-      ->Increment(now.promotions - storage_seen_.promotions);
-  metrics->GetCounter("pisrep_storage_demotions_total")
-      ->Increment(now.demotions - storage_seen_.demotions);
-  metrics->GetCounter("pisrep_storage_cold_reads_total")
-      ->Increment(now.cold_reads - storage_seen_.cold_reads);
-  metrics->GetCounter("pisrep_storage_cold_appends_total")
-      ->Increment(now.cold_appends - storage_seen_.cold_appends);
-  metrics->GetCounter("pisrep_storage_gc_runs_total")
-      ->Increment(now.gc_runs - storage_seen_.gc_runs);
-  metrics->GetCounter("pisrep_storage_gc_reclaimed_bytes_total")
-      ->Increment(now.gc_reclaimed_bytes - storage_seen_.gc_reclaimed_bytes);
-  storage_seen_ = now;
 }
 
 void ReputationServer::AuditAppend(std::string_view kind,
@@ -571,7 +504,6 @@ void ReputationServer::Stop() {
   rpc_.reset();  // unbinds the address; in-flight requests go unanswered
   aggregation_.CancelSchedule();
   snapshot_token_.reset();  // queued snapshot ticks become no-ops
-  tier_token_.reset();      // queued tier ticks become no-ops
   accounts_.DropSessions();
 }
 

@@ -118,15 +118,6 @@ class ReputationServer {
     /// sweep. Per-shard config like the cadence above; default off keeps
     /// single-server output bit-identical.
     bool aggregation_force_full_sweep = false;
-    /// How often the tiered storage engine's eviction schedule runs
-    /// (storage::Database::TierTick: fault promotion, age/LRU demotion,
-    /// cold-store GC) when the database is tiered and a loop is attached.
-    /// 0 disables the schedule (TierTick can still be driven manually).
-    util::Duration tier_tick_period = util::kHour;
-    /// Upper bound on score rows pinned resident under the published
-    /// snapshot; recomputed ids beyond it stay demotable (they fault back
-    /// in on demand).
-    std::size_t max_pinned_scores = 10000;
     /// Observability (optional, both null by default — instrumented paths
     /// then cost one branch each). Neither is owned; both must outlive the
     /// server. The registry feeds the `/metrics` portal endpoint, the
@@ -202,19 +193,10 @@ class ReputationServer {
   /// run; exposed for benches that mutate stores directly.
   void PublishSnapshot();
 
-  /// Runs one tiered-storage eviction pass now (the scheduled tick calls
-  /// this; exposed for tests and manual operation). No-op when the
-  /// database is untiered.
-  void TierTickNow();
-
-  /// Re-exports the pisrep_storage_* metrics (tier gauges, cold-store and
-  /// compaction counters) from the database's current counters. Called
-  /// automatically after every tier tick; no-op without a metrics
-  /// registry.
+  /// Re-exports the pisrep_storage_* WAL-compaction metrics from the
+  /// database's current counters. Called once at construction; no-op
+  /// without a metrics registry.
   void UpdateStorageMetrics();
-
-  /// Score rows currently pinned resident for the published snapshot.
-  std::size_t pinned_score_count() const { return pinned_scores_.size(); }
 
   /// Submits a rating (registering the software from `meta` if new).
   util::Status SubmitRating(std::string_view session,
@@ -314,8 +296,6 @@ class ReputationServer {
 
  private:
   void RegisterRpcMethods();
-  /// Swaps the snapshot pin set to this run's recomputed score rows.
-  void RepinScores(const AggregationStats& stats);
   /// Appends to the audit log (no-op when disabled), writes the periodic
   /// signed checkpoint, and refreshes the pisrep_trust_* gauges. Every
   /// accepted mutation routes through here — the single audit choke point.
@@ -361,14 +341,8 @@ class ReputationServer {
   /// Liveness token for the snapshot-logger schedule (same pattern as the
   /// aggregation job): Stop() resets it and queued ticks become no-ops.
   std::shared_ptr<int> snapshot_token_;
-  /// Liveness token for the tier-tick schedule.
-  std::shared_ptr<int> tier_token_;
-  /// Score rows pinned under the current snapshot (swapped by RepinScores
-  /// after each aggregation run).
-  std::vector<core::SoftwareId> pinned_scores_;
-  /// Counter baselines for the monotonic pisrep_storage_* exports (the
-  /// registry's counters only increment; the database reports totals).
-  storage::DatabaseTierStats storage_seen_;
+  /// Counter baseline for the monotonic compactions export (the
+  /// registry's counters only increment; the database reports a total).
   std::size_t compactions_seen_ = 0;
 };
 

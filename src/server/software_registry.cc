@@ -89,11 +89,11 @@ SoftwareRegistry::SoftwareRegistry(storage::Database* db) : db_(db) {
                                 .Build());
   PISREP_CHECK(status.ok()) << status.ToString();
 
-  software_ = db_->GetTiered("software").value();
-  scores_ = db_->GetTiered("software_scores").value();
-  vendor_scores_ = db_->GetTiered("vendor_scores").value();
-  behavior_reports_ = db_->GetTiered("behavior_reports").value();
-  run_stats_ = db_->GetTiered("run_stats").value();
+  software_ = db_->GetTable("software").value();
+  scores_ = db_->GetTable("software_scores").value();
+  vendor_scores_ = db_->GetTable("vendor_scores").value();
+  behavior_reports_ = db_->GetTable("behavior_reports").value();
+  run_stats_ = db_->GetTable("run_stats").value();
 }
 
 Status SoftwareRegistry::RegisterSoftware(const core::SoftwareMeta& meta) {
@@ -376,30 +376,6 @@ SoftwareRegistry::AllRunCounts() const {
     out.emplace_back(id, row[1].AsInt());
   });
   return out;
-}
-
-void SoftwareRegistry::PinScores(const std::vector<SoftwareId>& ids) {
-  if (!scores_->tiered()) return;
-  for (const SoftwareId& id : ids) {
-    Status pinned = scores_->Pin(Value::Str(id.ToHex()));
-    // kNotFound is expected (row deleted since the pin set was chosen);
-    // anything else is a cold-store IO failure worth surfacing.
-    if (!pinned.ok() && pinned.code() != util::StatusCode::kNotFound) {
-      PISREP_LOG(kWarning) << "pin score " << id.ToHex()
-                           << " failed: " << pinned;
-    }
-  }
-}
-
-void SoftwareRegistry::UnpinScores(const std::vector<SoftwareId>& ids) {
-  if (!scores_->tiered()) return;
-  for (const SoftwareId& id : ids) {
-    Status unpinned = scores_->Unpin(Value::Str(id.ToHex()));
-    if (!unpinned.ok() && unpinned.code() != util::StatusCode::kNotFound) {
-      PISREP_LOG(kWarning) << "unpin score " << id.ToHex()
-                           << " failed: " << unpinned;
-    }
-  }
 }
 
 std::int64_t SoftwareRegistry::BehaviorReportCount(

@@ -113,25 +113,13 @@ class SoftwareRegistry {
   std::int64_t BehaviorReportCount(const core::SoftwareId& id,
                                    core::Behavior behavior) const;
 
-  /// Pins the score rows of `ids` resident in the hot tier (DESIGN.md §15)
-  /// — the live ScoreSnapshot references them, so they must not be
-  /// demoted under it. Refcounted; every PinScores must be paired with an
-  /// UnpinScores of the same ids. Unknown ids are skipped (a score row
-  /// can be deleted by shard migration between aggregation runs). No-ops
-  /// when the scores table is untiered.
-  void PinScores(const std::vector<core::SoftwareId>& ids);
-  void UnpinScores(const std::vector<core::SoftwareId>& ids);
-
  private:
   storage::Database* db_;
-  /// Tier-aware facades (DESIGN.md §15): pass-throughs when the table is
-  /// untiered, transparent hot/cold access when it is. Reads must go
-  /// through them — the raw Table holds only the resident subset.
-  storage::TieredTable* software_;
-  storage::TieredTable* scores_;
-  storage::TieredTable* vendor_scores_;
-  storage::TieredTable* behavior_reports_;
-  storage::TieredTable* run_stats_;
+  storage::Table* software_;
+  storage::Table* scores_;
+  storage::Table* vendor_scores_;
+  storage::Table* behavior_reports_;
+  storage::Table* run_stats_;
   /// Priors written since the aggregation job last consumed them
   /// (hex ids, first-touch order).
   std::vector<std::string> dirty_prior_order_;

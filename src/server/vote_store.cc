@@ -72,8 +72,8 @@ VoteStore::VoteStore(storage::Database* db) : db_(db) {
                                          .Build());
     PISREP_CHECK(status.ok()) << status.ToString();
   }
-  ratings_ = db_->GetTiered("ratings").value();
-  remarks_ = db_->GetTiered("remarks").value();
+  ratings_ = db_->GetTable("ratings").value();
+  remarks_ = db_->GetTable("remarks").value();
   // Seed the rated-software cache from recovered rows. Iteration over
   // rows_ is insertion order, so rated_order_ matches what incremental
   // maintenance would have produced.
@@ -150,9 +150,8 @@ std::vector<StoredRating> VoteStore::VotesForSoftware(
     const SoftwareId& software) const {
   std::vector<StoredRating> out;
   Value key = Value::Str(software.ToHex());
-  // The reserve comes from the in-memory per-software counter, not
-  // CountByIndex — counting through the facade would walk (and possibly
-  // pread) every vote once before the real visit walks them again.
+  // The reserve comes from the in-memory per-software counter, which
+  // saves a CountByIndex walk over the same index entries.
   auto it = votes_per_software_.find(software.ToHex());
   if (it == votes_per_software_.end()) return out;
   out.reserve(it->second);
@@ -188,11 +187,9 @@ std::vector<core::RatingRecord> VoteStore::VisibleComments(
     const SoftwareId& software, std::size_t limit) const {
   std::vector<core::RatingRecord> comments;
   if (limit == 0) return comments;
-  // Rows handed out by the facade may be transient cold decodes, valid
-  // only inside the callback — so the filter pass copies just the two
-  // scalars the selection needs, never a Row pointer. Only the `limit`
-  // selected rows are re-fetched and materialized (comment strings
-  // copied) afterwards.
+  // The filter pass copies just the two scalars the selection needs.
+  // Only the `limit` selected rows are re-fetched and materialized
+  // (comment strings copied) afterwards.
   struct Candidate {
     std::int64_t submitted_at;
     core::UserId user;

@@ -137,11 +137,8 @@ class VoteStore {
   void MarkDirty(const std::string& software_hex);
 
   storage::Database* db_;
-  /// Tier-aware facades (DESIGN.md §15): pass-throughs when the table is
-  /// untiered, transparent hot/cold access when it is. Reads must go
-  /// through them — the raw Table holds only the resident subset.
-  storage::TieredTable* ratings_;
-  storage::TieredTable* remarks_;
+  storage::Table* ratings_;
+  storage::Table* remarks_;
   /// Distinct voted software, insertion-ordered + counted. Maintained by
   /// SubmitRating; seeded from the ratings table in the constructor so a
   /// recovered database starts consistent.

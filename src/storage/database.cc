@@ -25,27 +25,9 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& wal_path,
   // Private constructor: std::make_unique cannot reach it.
   // pisrep-lint: allow(raw-new-delete)
   std::unique_ptr<Database> db(new Database(wal_path));
-  db->tier_config_ = options.tier;
-  if (!options.tier.path.empty()) {
-    if (wal_path.empty()) {
-      return Status::InvalidArgument(
-          "tiered storage requires a WAL path (schemas and untiered tables "
-          "still journal there)");
-    }
-    ColdStoreOptions cold_options = options.tier.cold;
-    cold_options.salvage_corruption = options.salvage_corruption;
-    PISREP_ASSIGN_OR_RETURN(db->cold_,
-                            ColdStore::Open(options.tier.path, cold_options));
-    if (db->cold_->recovered_with_loss()) db->recovered_with_loss_ = true;
-  }
   if (!wal_path.empty()) {
     PISREP_RETURN_IF_ERROR(db->Replay(options));
     PISREP_RETURN_IF_ERROR(db->wal_.Open(wal_path));
-    if (db->replayed_tiered_rows_) {
-      // A pre-tiering WAL was just migrated into the cold store; compact
-      // right away so rows are journaled in exactly one place again.
-      PISREP_RETURN_IF_ERROR(db->Compact());
-    }
   }
   return db;
 }
@@ -74,9 +56,7 @@ Status Database::Replay(const OpenOptions& options) {
       if (!options.salvage_corruption) return frame.status();
       return SalvageTail(frame_start, frame.status());
     }
-    bool tiered_row = false;
-    Status applied = ApplyFrame(*frame, /*replay_relaxed=*/true, &tiered_row);
-    if (tiered_row) replayed_tiered_rows_ = true;
+    Status applied = ApplyFrame(*frame);
     if (!applied.ok()) {
       if (!options.salvage_corruption) return applied;
       return SalvageTail(frame_start, applied);
@@ -85,9 +65,7 @@ Status Database::Replay(const OpenOptions& options) {
   return Status::Ok();
 }
 
-Status Database::ApplyFrame(const std::string& frame, bool replay_relaxed,
-                            bool* tiered_row) {
-  *tiered_row = false;
+Status Database::ApplyFrame(const std::string& frame) {
   Decoder dec(frame);
   PISREP_ASSIGN_OR_RETURN(std::uint8_t op_byte, dec.GetByte());
   WalOp op = static_cast<WalOp>(op_byte);
@@ -98,45 +76,36 @@ Status Database::ApplyFrame(const std::string& frame, bool replay_relaxed,
       if (tables_.contains(name)) {
         return Status::DataLoss("duplicate create-table in WAL: " + name);
       }
-      PISREP_RETURN_IF_ERROR(
-          InstallTable(std::make_unique<Table>(std::move(schema))));
+      InstallTable(std::make_unique<Table>(std::move(schema)));
       break;
     }
     case WalOp::kInsert:
     case WalOp::kUpsert: {
       PISREP_ASSIGN_OR_RETURN(std::string name, dec.GetLengthPrefixed());
-      auto it = facades_.find(name);
-      if (it == facades_.end()) {
+      auto it = tables_.find(name);
+      if (it == tables_.end()) {
         return Status::DataLoss("WAL references unknown table: " + name);
       }
-      TieredTable* facade = it->second.get();
-      std::size_t row_start = dec.position();
-      PISREP_ASSIGN_OR_RETURN(Row row, DecodeRow(facade->schema(), dec));
-      *tiered_row = facade->tiered();
-      std::string_view row_bytes =
-          std::string_view(frame).substr(row_start,
-                                         dec.position() - row_start);
-      // Inserts stay strict (duplicate = corruption) except when replaying
-      // a tiered table: a pre-tiering WAL being migrated may briefly
-      // journal rows in both logs, so replay must be idempotent there.
-      bool strict = op == WalOp::kInsert &&
-                    (!replay_relaxed || !facade->tiered());
-      PISREP_RETURN_IF_ERROR(facade->ApplyColdPut(row, row_bytes, strict));
+      Table* table = it->second.get();
+      PISREP_ASSIGN_OR_RETURN(Row row, DecodeRow(table->schema(), dec));
+      // Inserts stay strict: a duplicate key in the log is corruption.
+      PISREP_RETURN_IF_ERROR(op == WalOp::kInsert
+                                 ? table->InsertUnlogged(std::move(row))
+                                 : table->UpsertUnlogged(std::move(row)));
       break;
     }
     case WalOp::kDelete: {
       PISREP_ASSIGN_OR_RETURN(std::string name, dec.GetLengthPrefixed());
-      auto it = facades_.find(name);
-      if (it == facades_.end()) {
+      auto it = tables_.find(name);
+      if (it == tables_.end()) {
         return Status::DataLoss("WAL references unknown table: " + name);
       }
-      TieredTable* facade = it->second.get();
-      const TableSchema& schema = facade->schema();
+      Table* table = it->second.get();
+      const TableSchema& schema = table->schema();
       ColumnType key_type =
           schema.columns()[schema.primary_key_index()].type;
       PISREP_ASSIGN_OR_RETURN(Value key, DecodeValue(key_type, dec));
-      *tiered_row = facade->tiered();
-      PISREP_RETURN_IF_ERROR(facade->ApplyColdDelete(key));
+      PISREP_RETURN_IF_ERROR(table->DeleteUnlogged(key));
       break;
     }
     default:
@@ -160,28 +129,13 @@ Status Database::SalvageTail(std::size_t prefix_len,
   return Status::Ok();
 }
 
-Status Database::InstallTable(std::unique_ptr<Table> table) {
+void Database::InstallTable(std::unique_ptr<Table> table) {
   std::string name = table->schema().table_name();
-  ColdStore* cold = nullptr;
-  TierPolicy policy;
-  auto policy_it = tier_config_.tables.find(name);
-  if (cold_ != nullptr && policy_it != tier_config_.tables.end()) {
-    cold = cold_.get();
-    policy = policy_it->second;
-  }
-  auto facade = std::make_unique<TieredTable>(table.get(), cold, policy);
-  if (facade->tiered()) {
-    // Pick up any rows already in the cold store (recovery, migration).
-    PISREP_RETURN_IF_ERROR(facade->RebuildFromCold());
-  }
-  bool tiered = facade->tiered();
   table->SetMutationListener(
-      [this, name, tiered](MutationOp op, const Row& row, const Value& key) {
-        LogMutation(name, tiered, op, row, key);
+      [this, name](MutationOp op, const Row& row, const Value& key) {
+        LogMutation(name, op, row, key);
       });
   tables_.emplace(name, std::move(table));
-  facades_.emplace(name, std::move(facade));
-  return Status::Ok();
 }
 
 Status Database::CreateTable(const TableSchema& schema) {
@@ -190,7 +144,8 @@ Status Database::CreateTable(const TableSchema& schema) {
     return Status::AlreadyExists("table exists: " + name);
   }
   PISREP_RETURN_IF_ERROR(LogCreateTable(schema));
-  return InstallTable(std::make_unique<Table>(schema));
+  InstallTable(std::make_unique<Table>(schema));
+  return Status::Ok();
 }
 
 bool Database::HasTable(std::string_view name) const {
@@ -205,27 +160,12 @@ Result<Table*> Database::GetTable(std::string_view name) {
   return it->second.get();
 }
 
-Result<TieredTable*> Database::GetTiered(std::string_view name) {
-  auto it = facades_.find(std::string(name));
-  if (it == facades_.end()) {
-    return Status::NotFound("no such table: " + std::string(name));
-  }
-  return it->second.get();
-}
-
 std::vector<std::string> Database::TableNames() const {
   std::vector<std::string> names;
   names.reserve(tables_.size());
   for (const auto& [name, table] : tables_) names.push_back(name);
   std::sort(names.begin(), names.end());
   return names;
-}
-
-Status Database::ForEachRow(std::string_view name,
-                            const std::function<void(const Row&)>& visit) {
-  PISREP_ASSIGN_OR_RETURN(TieredTable * facade, GetTiered(name));
-  facade->ForEach(visit);
-  return Status::Ok();
 }
 
 void Database::SetAutoCompact(double factor, std::size_t min_frames) {
@@ -237,7 +177,7 @@ void Database::MaybeAutoCompact() {
   if (auto_compact_factor_ <= 0.0 || compacting_) return;
   if (frames_since_compact_ < auto_compact_min_frames_) return;
   if (static_cast<double>(frames_since_compact_) <
-      auto_compact_factor_ * static_cast<double>(WalRows() + 1)) {
+      auto_compact_factor_ * static_cast<double>(TotalRows() + 1)) {
     return;
   }
   Status status = Compact();
@@ -249,8 +189,6 @@ Status Database::Compact() {
   if (wal_path_.empty()) return Status::Ok();
   // Write a fresh log containing schema + current rows, then reopen it for
   // appending. Recovery stays uniform: a snapshot is just a shorter log.
-  // Tiered tables emit their schema only — their rows live in the cold
-  // store, in the very same frame payload format.
   compacting_ = true;
   frames_since_compact_ = 0;
   ++compactions_;
@@ -261,7 +199,6 @@ Status Database::Compact() {
     frame.push_back(static_cast<char>(WalOp::kCreateTable));
     EncodeSchema(table->schema(), &frame);
     PISREP_RETURN_IF_ERROR(wal_.Append(frame));
-    if (facades_.at(name)->tiered()) continue;
     Status row_status = Status::Ok();
     table->ForEach([&](const Row& row) {
       if (!row_status.ok()) return;
@@ -282,58 +219,8 @@ Status Database::Compact() {
 
 std::size_t Database::TotalRows() const {
   std::size_t total = 0;
-  for (const auto& [name, facade] : facades_) total += facade->size();
+  for (const auto& [name, table] : tables_) total += table->size();
   return total;
-}
-
-std::size_t Database::WalRows() const {
-  std::size_t total = 0;
-  for (const auto& [name, facade] : facades_) {
-    if (!facade->tiered()) total += facade->size();
-  }
-  return total;
-}
-
-Status Database::TierTick(util::TimePoint now) {
-  if (cold_ == nullptr) return Status::Ok();
-  for (auto& [name, facade] : facades_) {
-    facade->Tick(now);
-  }
-  PISREP_ASSIGN_OR_RETURN(bool gc_ran, cold_->MaybeGc());
-  if (gc_ran) {
-    // Every frame moved: cached offsets and index maps are stale.
-    for (auto& [name, facade] : facades_) {
-      if (!facade->tiered()) continue;
-      PISREP_RETURN_IF_ERROR(facade->RebuildFromCold());
-    }
-  }
-  return Status::Ok();
-}
-
-DatabaseTierStats Database::TierStats() const {
-  DatabaseTierStats stats;
-  for (const auto& [name, facade] : facades_) {
-    if (!facade->tiered()) continue;
-    TieredTableStats table_stats = facade->stats();
-    stats.hot_rows += table_stats.hot_rows;
-    stats.cold_rows += table_stats.cold_rows;
-    stats.pinned_rows += table_stats.pinned_rows;
-    stats.hits += table_stats.hits;
-    stats.faults += table_stats.faults;
-    stats.promotions += table_stats.promotions;
-    stats.demotions += table_stats.demotions;
-    stats.resident_bytes += table_stats.approx_resident_bytes;
-  }
-  if (cold_ != nullptr) {
-    ColdStoreStats cold_stats = cold_->stats();
-    stats.cold_file_bytes = cold_stats.file_bytes;
-    stats.cold_dead_bytes = cold_stats.dead_bytes;
-    stats.cold_reads = cold_stats.reads;
-    stats.cold_appends = cold_stats.appends;
-    stats.gc_runs = cold_stats.gc_runs;
-    stats.gc_reclaimed_bytes = cold_stats.gc_reclaimed_bytes;
-  }
-  return stats;
 }
 
 Status Database::LogCreateTable(const TableSchema& schema) {
@@ -351,14 +238,10 @@ void Database::SetFrameListener(FrameListener listener) {
 }
 
 Status Database::ApplyReplicatedFrame(const std::string& frame) {
-  bool tiered_row = false;
-  PISREP_RETURN_IF_ERROR(
-      ApplyFrame(frame, /*replay_relaxed=*/false, &tiered_row));
+  PISREP_RETURN_IF_ERROR(ApplyFrame(frame));
   // Journal the imported frame for this database's own durability; apply
   // above went through the *Unlogged paths, so this is the only append.
-  // Tiered rows already landed durably in the cold store — journaling
-  // them again would re-create the dual-history the tier split removed.
-  if (wal_.is_open() && !tiered_row) {
+  if (wal_.is_open()) {
     PISREP_RETURN_IF_ERROR(wal_.Append(frame));
     ++frames_since_compact_;
     MaybeAutoCompact();
@@ -376,21 +259,6 @@ Status Database::ExportSnapshotFrames(
     PISREP_RETURN_IF_ERROR(emit(frame));
   }
   for (const std::string& name : TableNames()) {
-    TieredTable* facade = facades_.at(name).get();
-    if (facade->tiered()) {
-      // Stream cold blocks: the stored row payload is already the frame's
-      // row encoding, so a resync never materializes the rows in memory.
-      PISREP_RETURN_IF_ERROR(cold_->ForEachLive(
-          name, [&](std::uint64_t, std::string_view,
-                    std::string_view row_bytes) -> Status {
-            std::string row_frame;
-            row_frame.push_back(static_cast<char>(WalOp::kInsert));
-            PutLengthPrefixed(name, &row_frame);
-            row_frame.append(row_bytes);
-            return emit(row_frame);
-          }));
-      continue;
-    }
     Table* table = tables_.at(name).get();
     Status row_status = Status::Ok();
     table->ForEach([&](const Row& row) {
@@ -406,9 +274,9 @@ Status Database::ExportSnapshotFrames(
   return Status::Ok();
 }
 
-void Database::LogMutation(const std::string& table_name, bool tiered,
-                           MutationOp op, const Row& row, const Value& key) {
-  bool journal = wal_.is_open() && !tiered;
+void Database::LogMutation(const std::string& table_name, MutationOp op,
+                           const Row& row, const Value& key) {
+  bool journal = wal_.is_open();
   if (!journal && !frame_listener_) return;
   std::string frame;
   Table* table = tables_.at(table_name).get();

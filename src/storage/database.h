@@ -2,40 +2,17 @@
 #define PISREP_STORAGE_DATABASE_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
-#include "storage/cold_store.h"
 #include "storage/table.h"
-#include "storage/tiered_table.h"
 #include "storage/wal.h"
-#include "util/clock.h"
 #include "util/status.h"
 
 namespace pisrep::storage {
-
-/// Aggregated tier counters across every tiered table (the input to the
-/// server's pisrep_storage_* metric export).
-struct DatabaseTierStats {
-  std::size_t hot_rows = 0;
-  std::size_t cold_rows = 0;
-  std::size_t pinned_rows = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t faults = 0;
-  std::uint64_t promotions = 0;
-  std::uint64_t demotions = 0;
-  std::uint64_t resident_bytes = 0;
-  std::uint64_t cold_file_bytes = 0;
-  std::uint64_t cold_dead_bytes = 0;
-  std::uint64_t cold_reads = 0;
-  std::uint64_t cold_appends = 0;
-  std::uint64_t gc_runs = 0;
-  std::uint64_t gc_reclaimed_bytes = 0;
-};
 
 /// A collection of named tables with optional write-ahead-log durability.
 ///
@@ -44,36 +21,16 @@ struct DatabaseTierStats {
 /// a WAL path, every mutation is journaled and Open() recovers the full
 /// state by replay; with an empty path the database is purely in-memory
 /// (used by most simulations for speed).
-///
-/// Tables named in OpenOptions::tier are *tiered* (DESIGN.md §15): their
-/// rows live durably in a ColdStore block file, an LRU subset stays
-/// resident, and the TieredTable facade faults the rest in on demand. For
-/// tiered tables the cold store replaces the WAL as the row journal — the
-/// WAL carries only their schemas — so the log stays small at 1M+ rows.
 class Database {
  public:
-  struct TierConfig {
-    /// Cold block-file path; empty disables tiering entirely.
-    std::string path;
-    /// GC thresholds; salvage_corruption is mirrored from OpenOptions.
-    ColdStoreOptions cold;
-    /// Residency policy per tiered table name. Tables not listed here are
-    /// fully resident exactly as before.
-    std::map<std::string, TierPolicy> tables;
-  };
-
   struct OpenOptions {
     /// When true, a corrupted WAL does not fail Open: replay stops at the
     /// first bad frame, the file is truncated to the intact prefix (so
     /// subsequent appends extend good data, not garbage), and
     /// recovered_with_loss() reports the amputation. Every frame before
     /// the corruption is applied — a crash-damaged server restarts with
-    /// everything it had durably logged up to that point. Applies to the
-    /// cold block file too.
+    /// everything it had durably logged up to that point.
     bool salvage_corruption = false;
-    /// Hot/cold tier configuration; requires a non-empty wal_path (the
-    /// WAL still carries schemas and untiered tables).
-    TierConfig tier;
   };
 
   /// Opens a database. `wal_path` empty → in-memory only. When the file
@@ -91,26 +48,13 @@ class Database {
 
   bool HasTable(std::string_view name) const;
 
-  /// Pointer remains valid for the database's lifetime. For a tiered table
-  /// this is the *resident subset only* — reads must go through
-  /// GetTiered so cold rows are faulted in.
-  util::Result<Table*> GetTable(std::string_view name);
-
-  /// The tier-aware facade for any table (pass-through when untiered).
   /// Pointer remains valid for the database's lifetime.
-  util::Result<TieredTable*> GetTiered(std::string_view name);
+  util::Result<Table*> GetTable(std::string_view name);
 
   std::vector<std::string> TableNames() const;
 
-  /// Visits every live row of `name` across both tiers — the uniform
-  /// iteration the anti-entropy digests and shard migration use.
-  util::Status ForEachRow(std::string_view name,
-                          const std::function<void(const Row&)>& visit);
-
   /// Rewrites the WAL as a compact snapshot (schema + inserts) of current
-  /// state. No-op for in-memory databases. Tiered tables contribute only
-  /// their schema frame: their rows already live in the cold store, which
-  /// shares the same frame format.
+  /// state. No-op for in-memory databases.
   util::Status Compact();
 
   /// Enables automatic compaction: whenever the number of frames appended
@@ -124,25 +68,11 @@ class Database {
   std::size_t FramesSinceCompaction() const { return frames_since_compact_; }
   std::size_t compactions() const { return compactions_; }
 
-  /// Total live rows across all tables and tiers (for stats and tests).
+  /// Total live rows across all tables (for stats and tests).
   std::size_t TotalRows() const;
 
-  /// True when salvage mode dropped a corrupted WAL or cold-store tail
-  /// during Open.
+  /// True when salvage mode dropped a corrupted WAL tail during Open.
   bool recovered_with_loss() const { return recovered_with_loss_; }
-
-  // -- Tier control ---------------------------------------------------------
-
-  bool tier_enabled() const { return cold_ != nullptr; }
-  ColdStore* cold_store() { return cold_.get(); }
-
-  /// The sim-clock eviction schedule: promotes queued read faults, demotes
-  /// cold-eligible rows, and runs cold-store GC past its dead-bytes
-  /// threshold (rebuilding cached offsets afterwards). The server calls
-  /// this periodically on its event loop.
-  util::Status TierTick(util::TimePoint now);
-
-  DatabaseTierStats TierStats() const;
 
   // -- Replication ----------------------------------------------------------
 
@@ -157,18 +87,15 @@ class Database {
 
   /// Applies one WAL frame produced by another database (the replication
   /// import hook). The frame is journaled to this database's own WAL when
-  /// one is open — except rows of tiered tables, which land in the cold
-  /// store instead (same bytes, different file) — but is NOT re-announced
-  /// to the frame listener; chains re-export explicitly after promotion,
-  /// which keeps a primary⇄backup pair loop-free by construction.
+  /// one is open, but is NOT re-announced to the frame listener; chains
+  /// re-export explicitly after promotion, which keeps a primary⇄backup
+  /// pair loop-free by construction.
   util::Status ApplyReplicatedFrame(const std::string& frame);
 
   /// Emits the database's full state as WAL frames (schemas first, then
   /// every row as an insert), in deterministic table-name order. Feeding
   /// the frames to an empty database's ApplyReplicatedFrame reproduces the
-  /// state — the replica bootstrap / catch-up-resync path. Tiered tables
-  /// stream their cold blocks directly (the payloads are already in frame
-  /// format), so a resync never materializes them as rows. Stops at the
+  /// state — the replica bootstrap / catch-up-resync path. Stops at the
   /// first emit error and returns it.
   util::Status ExportSnapshotFrames(
       const std::function<util::Status(const std::string&)>& emit);
@@ -177,43 +104,29 @@ class Database {
   explicit Database(std::string wal_path);
 
   util::Status Replay(const OpenOptions& options);
-  /// Applies one decoded WAL frame to the in-memory tables or, for tiered
-  /// tables, the cold store. `replay_relaxed` applies inserts with upsert
-  /// semantics (replaying a pre-tiering WAL over already-migrated cold
-  /// rows must be idempotent); `tiered_row` reports whether the frame hit
-  /// a tiered table (its caller then skips the WAL journal).
-  util::Status ApplyFrame(const std::string& frame, bool replay_relaxed,
-                          bool* tiered_row);
+  /// Applies one decoded WAL frame to the in-memory tables without
+  /// notifying the mutation listeners.
+  util::Status ApplyFrame(const std::string& frame);
   /// Truncates the WAL to `prefix_len` bytes after hitting `cause`.
   util::Status SalvageTail(std::size_t prefix_len, const util::Status& cause);
   util::Status LogCreateTable(const TableSchema& schema);
-  void LogMutation(const std::string& table_name, bool tiered, MutationOp op,
+  void LogMutation(const std::string& table_name, MutationOp op,
                    const Row& row, const Value& key);
-  /// Creates the facade for a new table and wires the mutation listener.
-  util::Status InstallTable(std::unique_ptr<Table> table);
+  /// Registers a new table and wires its mutation listener.
+  void InstallTable(std::unique_ptr<Table> table);
 
   void MaybeAutoCompact();
-  /// Live rows journaled in the WAL (excludes tiered tables) — the
-  /// denominator of the auto-compaction ratio.
-  std::size_t WalRows() const;
 
   std::string wal_path_;
   WalWriter wal_;
   FrameListener frame_listener_;
-  TierConfig tier_config_;
-  std::unique_ptr<ColdStore> cold_;
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
-  std::unordered_map<std::string, std::unique_ptr<TieredTable>> facades_;
   double auto_compact_factor_ = 0.0;
   std::size_t auto_compact_min_frames_ = 1024;
   std::size_t frames_since_compact_ = 0;
   std::size_t compactions_ = 0;
   bool compacting_ = false;
   bool recovered_with_loss_ = false;
-  /// Replay found row frames for tiered tables in the WAL (a pre-tiering
-  /// log being migrated); Open compacts immediately so the overlap between
-  /// the two journals lasts at most one recovery.
-  bool replayed_tiered_rows_ = false;
 };
 
 }  // namespace pisrep::storage

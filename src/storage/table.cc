@@ -81,11 +81,6 @@ Result<Row> Table::Get(const Value& key) const {
   return rows_[it->second];
 }
 
-const Row* Table::FindRow(const Value& key) const {
-  auto it = primary_.find(key);
-  return it == primary_.end() ? nullptr : &rows_[it->second];
-}
-
 bool Table::Contains(const Value& key) const {
   return primary_.contains(key);
 }

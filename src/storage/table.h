@@ -57,12 +57,6 @@ class Table {
   /// Row with the given primary key; kNotFound when absent.
   util::Result<Row> Get(const Value& key) const;
 
-  /// Pointer to the row with the given primary key, or nullptr — the
-  /// zero-copy sibling of Get for callers that serve many point reads
-  /// (the tiered facade resolving resident rows). The pointer is valid
-  /// only until the next mutation.
-  const Row* FindRow(const Value& key) const;
-
   bool Contains(const Value& key) const;
 
   /// Deletes by primary key; kNotFound when absent.

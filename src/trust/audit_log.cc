@@ -23,10 +23,8 @@ using util::Status;
 
 constexpr char kFieldSep = '\x1f';
 
-storage::TieredTable* TieredOrNull(storage::Database* db,
-                                   std::string_view name) {
-  if (!db->HasTable(name)) return nullptr;
-  auto table = db->GetTiered(name);
+storage::Table* TableOrNull(storage::Database* db, std::string_view name) {
+  auto table = db->GetTable(name);
   return table.ok() ? *table : nullptr;
 }
 
@@ -96,12 +94,12 @@ AuditLog::AuditLog(storage::Database* db) : db_(db) {
                              .Build());
     PISREP_CHECK(status.ok()) << status.ToString();
   }
-  log_table_ = TieredOrNull(db_, kAuditTable);
-  checkpoint_table_ = TieredOrNull(db_, kCheckpointTable);
+  log_table_ = TableOrNull(db_, kAuditTable);
+  checkpoint_table_ = TableOrNull(db_, kCheckpointTable);
   // Recover the head from persisted rows (WAL replay / replica promotion):
   // the row with the highest index carries the chain head.
   head_hash_ = GenesisHashHex();
-  if (storage::TieredTable* log = log_table_) {
+  if (storage::Table* log = log_table_) {
     log->ForEach([this](const Row& row) {
       auto idx = static_cast<std::uint64_t>(row[0].AsInt());
       if (idx > head_index_) {
@@ -110,7 +108,7 @@ AuditLog::AuditLog(storage::Database* db) : db_(db) {
       }
     });
   }
-  if (storage::TieredTable* cps = checkpoint_table_) {
+  if (storage::Table* cps = checkpoint_table_) {
     cps->ForEach([this](const Row& row) {
       ++checkpoint_count_;
       auto idx = static_cast<std::uint64_t>(row[0].AsInt());
@@ -132,7 +130,7 @@ Result<AuditEntry> AuditLog::Append(std::string_view kind,
   entry.at = at;
   entry.hash_hex = ChainHashHex(head_hash_, entry.index, kind, payload, at);
 
-  storage::TieredTable* log = log_table_;
+  storage::Table* log = log_table_;
   if (log == nullptr) {
     return Status::FailedPrecondition("audit table was not created");
   }
@@ -155,7 +153,7 @@ Status AuditLog::WriteCheckpoint(const crypto::PrivateKey& key,
   }
   crypto::Signature sig =
       crypto::Sign(key, CheckpointMessage(head_index_, head_hash_, at));
-  storage::TieredTable* cps = checkpoint_table_;
+  storage::Table* cps = checkpoint_table_;
   if (cps == nullptr) {
     return Status::FailedPrecondition("checkpoint table was not created");
   }
@@ -174,7 +172,7 @@ Status AuditLog::WriteCheckpoint(const crypto::PrivateKey& key,
 ChainVerifyResult VerifyAuditChain(storage::Database* db) {
   ChainVerifyResult result;
   result.head_hash = GenesisHashHex();
-  storage::TieredTable* log = TieredOrNull(db, kAuditTable);
+  storage::Table* log = TableOrNull(db, kAuditTable);
   if (log == nullptr) {
     result.ok = true;  // no chain is a valid (empty) chain
     return result;
@@ -217,7 +215,7 @@ ChainVerifyResult VerifyAuditChain(storage::Database* db) {
 CheckpointVerifyResult VerifyCheckpoints(storage::Database* db,
                                          const crypto::PublicKey& key) {
   CheckpointVerifyResult result;
-  storage::TieredTable* cps = TieredOrNull(db, kCheckpointTable);
+  storage::Table* cps = TableOrNull(db, kCheckpointTable);
   if (cps == nullptr) {
     result.ok = true;
     return result;
@@ -225,7 +223,7 @@ CheckpointVerifyResult VerifyCheckpoints(storage::Database* db,
   // Recompute the chain once; each checkpoint must name the recomputed hash
   // at its index and carry a valid signature under the server's audit key.
   ChainVerifyResult chain = VerifyAuditChain(db);
-  storage::TieredTable* log = TieredOrNull(db, kAuditTable);
+  storage::Table* log = TableOrNull(db, kAuditTable);
   bool failed = false;
   cps->ForEach([&](const Row& row) {
     if (failed) return;

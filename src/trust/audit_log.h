@@ -47,9 +47,8 @@ std::string CheckpointMessage(std::uint64_t index, std::string_view hash_hex,
 /// accepted vote/moderation/trust-change appends one entry; periodically
 /// the server signs (index, head hash) into a checkpoint row so an offline
 /// verifier can pin the history to the server's audit key. Both tables are
-/// ordinary database tables — they ride the WAL (or the cold store when the
-/// caller tiers them), replicate frame-by-frame to replicas, and survive
-/// crash recovery like every other row.
+/// ordinary database tables — they ride the WAL, replicate frame-by-frame to
+/// replicas, and survive crash recovery like every other row.
 class AuditLog {
  public:
   /// Creates the tables when absent and recovers the chain head by replay
@@ -78,8 +77,8 @@ class AuditLog {
   storage::Database* db_;
   /// Resolved once at construction: Append runs per accepted mutation on
   /// the ingest hot path, so it must not pay a table lookup each time.
-  storage::TieredTable* log_table_ = nullptr;
-  storage::TieredTable* checkpoint_table_ = nullptr;
+  storage::Table* log_table_ = nullptr;
+  storage::Table* checkpoint_table_ = nullptr;
   std::uint64_t head_index_ = 0;
   std::string head_hash_;
   std::uint64_t checkpoint_count_ = 0;

@@ -32,7 +32,9 @@ ManifestStore::ManifestStore(storage::Database* db) : db_(db) {
                                          .Build());
     PISREP_CHECK(status.ok()) << status.ToString();
   }
-  auto scan = db_->ForEachRow(kTable, [this](const Row& row) {
+  auto table = db_->GetTable(kTable);
+  PISREP_CHECK(table.ok()) << table.status().ToString();
+  (*table)->ForEach([this](const Row& row) {
     SoftwareManifest manifest;
     auto id = SoftwareIdFromHex(row[0].AsStr());
     if (!id.ok()) return;
@@ -45,13 +47,11 @@ ManifestStore::ManifestStore(storage::Database* db) : db_(db) {
         sig.ok() ? static_cast<crypto::Signature>(*sig) : 0;
     manifests_[manifest.software] = std::move(manifest);
   });
-  PISREP_CHECK(scan.ok()) << scan.ToString();
 }
 
 Status ManifestStore::Put(const SoftwareManifest& manifest,
                           util::TimePoint at) {
-  PISREP_ASSIGN_OR_RETURN(storage::TieredTable * table,
-                          db_->GetTiered(kTable));
+  PISREP_ASSIGN_OR_RETURN(storage::Table * table, db_->GetTable(kTable));
   PISREP_RETURN_IF_ERROR(table->Upsert(Row{
       Value::Str(manifest.software.ToHex()),
       Value::Str(manifest.vendor),

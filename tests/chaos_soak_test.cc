@@ -32,7 +32,7 @@
 #include "proto/wire.h"
 #include "server/reputation_server.h"
 #include "storage/database.h"
-#include "storage/tiered_table.h"
+#include "storage/table.h"
 #include "storage/value.h"
 #include "trust/audit_log.h"
 #include "util/logging.h"
@@ -603,7 +603,7 @@ TEST(ChaosSoak, TamperedReplicaIsFencedNeverRepaired) {
   // on-disk tamper the hash chain exists to catch. The replica's WAL
   // position is untouched, so to the shipper it still looks caught up.
   constexpr std::uint64_t kTamperedIndex = 1;
-  auto table = replica_db->GetTiered(trust::kAuditTable);
+  auto table = replica_db->GetTable(trust::kAuditTable);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
   auto original = (*table)->Get(
       storage::Value::Int(static_cast<std::int64_t>(kTamperedIndex)));

@@ -234,39 +234,19 @@ TEST(ReplicaNode, GapMarksTheReplicaStale) {
 // Compact() rewrites the primary's WAL in place between two ShardReplicate
 // batches. The rewrite appends schema/snapshot frames to the journal
 // directly — none of them may leak into the replication stream (a backup
-// that applied them would double-apply every untiered row and desync), and
-// the backup must keep catching up from the log afterwards without needing
-// a snapshot resync. The primary journals to a real on-disk WAL with a
-// tiered votes table (in-memory databases make Compact a no-op), and the
-// backup uses the tiered DatabaseFactory, so the stream also covers the
-// cold-store frame path at flat backup memory (DESIGN.md §15).
+// that applied them would double-apply every row and desync), and the
+// backup must keep catching up from the log afterwards without needing a
+// snapshot resync. The primary journals to a real on-disk WAL (in-memory
+// databases make Compact a no-op); the backup is the default in-memory
+// replica.
 TEST(ReplicaNode, CompactionBetweenBatchesDoesNotDesyncTheBackup) {
   namespace fs = std::filesystem;
-  const std::string dir = fs::temp_directory_path().string();
-  const std::string primary_wal = dir + "/pisrep_compact_sync_prim.wal";
-  const std::string primary_cold = dir + "/pisrep_compact_sync_prim.cold";
-  const std::string backup_wal = dir + "/pisrep_compact_sync_back.wal";
-  const std::string backup_cold = dir + "/pisrep_compact_sync_back.cold";
-  auto remove_all = [&] {
-    for (const auto& path :
-         {primary_wal, primary_cold, backup_wal, backup_cold}) {
-      std::error_code ec;
-      fs::remove(path, ec);
-    }
-  };
-  remove_all();
+  const std::string primary_wal =
+      fs::temp_directory_path().string() + "/pisrep_compact_sync_prim.wal";
+  std::error_code ec;
+  fs::remove(primary_wal, ec);
 
-  auto tier_options = [](const std::string& cold_path) {
-    storage::Database::OpenOptions options;
-    options.tier.path = cold_path;
-    storage::TierPolicy policy;
-    policy.hot_capacity_rows = 4;
-    options.tier.tables["votes"] = policy;
-    return options;
-  };
-
-  auto opened = storage::Database::Open(primary_wal,
-                                        tier_options(primary_cold));
+  auto opened = storage::Database::Open(primary_wal);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   std::unique_ptr<storage::Database> db = std::move(opened).value();
   ASSERT_TRUE(db->CreateTable(storage::SchemaBuilder("votes")
@@ -286,22 +266,13 @@ TEST(ReplicaNode, CompactionBetweenBatchesDoesNotDesyncTheBackup) {
 
   net::EventLoop loop;
   net::SimNetwork network(&loop, net::NetworkConfig{});
-  ReplicaNode replica(&network, "tier-backup", [&] {
-    // A tiered factory must yield an *empty* database: clear both files
-    // first, or a snapshot reset would replay stale rows under the
-    // incoming frames.
-    std::error_code ec;
-    fs::remove(backup_wal, ec);
-    fs::remove(backup_cold, ec);
-    return storage::Database::Open(backup_wal, tier_options(backup_cold));
-  });
+  ReplicaNode replica(&network, "backup");
   ASSERT_TRUE(replica.Start().ok());
-  ReplicationShipper shipper(&network, &loop, "tier-prim", {"tier-backup"},
-                             db.get(), ReplicationConfig{}, nullptr,
-                             "tier-prim");
+  ReplicationShipper shipper(&network, &loop, "prim", {"backup"}, db.get(),
+                             ReplicationConfig{}, nullptr, "prim");
   ASSERT_TRUE(shipper.Start().ok());
 
-  auto votes = db->GetTiered("votes");
+  auto votes = db->GetTable("votes");
   ASSERT_TRUE(votes.ok());
   auto meta = db->GetTable("meta");
   ASSERT_TRUE(meta.ok());
@@ -318,8 +289,8 @@ TEST(ReplicaNode, CompactionBetweenBatchesDoesNotDesyncTheBackup) {
     ASSERT_TRUE(shipper.channel_caught_up(0));
   };
 
-  // Batch 1: enough votes that the tier demotes most of them cold, plus an
-  // untiered row so the compacted WAL re-journals actual row frames.
+  // Batch 1: rows in both tables, so the compacted WAL re-journals actual
+  // row frames for each.
   for (int i = 0; i < 12; ++i) {
     ASSERT_TRUE((*votes)->Insert(vote_row(i, 5 + i % 4)).ok());
   }
@@ -327,18 +298,18 @@ TEST(ReplicaNode, CompactionBetweenBatchesDoesNotDesyncTheBackup) {
                   ->Insert({storage::Value::Str("epoch"),
                             storage::Value::Str("one")})
                   .ok());
-  ASSERT_TRUE(db->TierTick(util::kHour).ok());
   ASSERT_NO_FATAL_FAILURE(pump_until_caught_up());
   const std::uint64_t resets_after_seed = replica.resets();
   EXPECT_EQ(FormatRangeDigests(RangeDigestsOf(db.get())),
             FormatRangeDigests(RangeDigestsOf(replica.db())));
 
   // Compact between the batches: the journal shrinks to schemas + live
-  // untiered rows, and the replication stream must not move at all.
+  // rows, and the replication stream must not move at all.
   const std::uint64_t head_before = shipper.head_seq();
   const std::size_t compactions_before = db->compactions();
   ASSERT_TRUE(db->Compact().ok());
   EXPECT_EQ(db->compactions(), compactions_before + 1);
+  EXPECT_EQ(db->FramesSinceCompaction(), 0u);
   EXPECT_EQ(shipper.head_seq(), head_before);
 
   // Batch 2: overwrite a batch-1 slice and extend past it.
@@ -349,20 +320,16 @@ TEST(ReplicaNode, CompactionBetweenBatchesDoesNotDesyncTheBackup) {
                   ->Upsert({storage::Value::Str("epoch"),
                             storage::Value::Str("two")})
                   .ok());
-  ASSERT_TRUE(db->TierTick(2 * util::kHour).ok());
   ASSERT_NO_FATAL_FAILURE(pump_until_caught_up());
 
   EXPECT_GT(shipper.head_seq(), head_before);
   EXPECT_FALSE(replica.stale());
   // Caught up from the log alone — compaction must not force a snapshot.
   EXPECT_EQ(replica.resets(), resets_after_seed);
+  EXPECT_EQ(replica.db()->TotalRows(), db->TotalRows());
   EXPECT_EQ(FormatRangeDigests(RangeDigestsOf(db.get())),
             FormatRangeDigests(RangeDigestsOf(replica.db())));
-  // Replicated tiered rows land cold on the backup: flat standby memory.
-  auto backup_votes = replica.db()->GetTiered("votes");
-  ASSERT_TRUE(backup_votes.ok());
-  EXPECT_EQ((*backup_votes)->HotRows(), 0u);
-  remove_all();
+  fs::remove(primary_wal, ec);
 }
 
 // ---------------------------------------------------------------------------
@@ -1317,6 +1284,30 @@ TEST(ClusterObservability, ReplicationAndRouterMetricsAreLive) {
   EXPECT_GT(
       metrics.GetCounter("pisrep_cluster_router_broadcast_ops_total")->Value(),
       0u);
+}
+
+TEST(ClusterObservability, GarbageToTheRouterCountsAsMalformed) {
+  obs::MetricsRegistry metrics;
+  Harness h(2, /*gossip_period=*/0, &metrics);
+  obs::Counter* malformed = metrics.GetCounter(
+      obs::WithLabel("pisrep_net_rpc_errors_total", "code", "malformed"));
+  const std::uint64_t before = malformed->Value();
+  int replies = 0;
+  ASSERT_TRUE(
+      h.network().Bind("prober", [&](const net::Message&) { ++replies; })
+          .ok());
+
+  // The router is the cluster's front door: an unparseable datagram, a
+  // truncated envelope and a non-request root are dropped unanswered, and
+  // each is counted in the same family RpcServer uses.
+  h.network().Send("prober", "server", "\x02\x07not <xml at all");
+  h.network().Send("prober", "server", "<request id=\"1\" method=\"Login\"");
+  h.network().Send("prober", "server", "<reply id=\"2\" method=\"Login\"/>");
+  h.loop().RunUntil(h.loop().Now() + util::kSecond);
+
+  EXPECT_EQ(replies, 0);
+  EXPECT_EQ(h.router()->requests(), 0u);
+  EXPECT_EQ(malformed->Value(), before + 3);
 }
 
 TEST(ClusterPortal, PortalMergesPagesAcrossShards) {

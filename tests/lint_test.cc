@@ -337,22 +337,22 @@ TEST(Layering, ObsIsBelowEverythingButUtil) {
 }
 
 TEST(Layering, StorageTierStaysBelowObsAndServer) {
-  // The tier engine is plain storage: cold store, hot LRU, and facade may
-  // see each other and util, nothing else.
-  auto ok = AnalyzeOne("src/storage/tiered_table.cc",
-                       "#include \"storage/tiered_table.h\"\n"
-                       "#include \"storage/cold_store.h\"\n"
-                       "#include \"storage/hot_tier.h\"\n"
+  // The storage engine is plain storage: database, tables and WAL may see
+  // each other and util, nothing else.
+  auto ok = AnalyzeOne("src/storage/database.cc",
+                       "#include \"storage/database.h\"\n"
+                       "#include \"storage/table.h\"\n"
+                       "#include \"storage/wal.h\"\n"
                        "#include \"util/clock.h\"\n");
   EXPECT_EQ(CountRule(ok, "layering"), 0) << FormatHuman(ok);
-  // pisrep_storage_* metrics are exported by the *server* over TierStats();
-  // the engine itself must not reach up into obs (or further, into the
-  // server that publishes it).
-  auto bad = AnalyzeOne("src/storage/cold_store.cc",
+  // pisrep_storage_* metrics are exported by the *server* from the
+  // database's counters; the engine itself must not reach up into obs (or
+  // further, into the server that publishes it).
+  auto bad = AnalyzeOne("src/storage/table.cc",
                         "#include \"obs/metrics.h\"\n"        // line 1
                         "#include \"server/feeds.h\"\n");     // line 2
-  EXPECT_TRUE(HasFinding(bad, "layering", "src/storage/cold_store.cc", 1));
-  EXPECT_TRUE(HasFinding(bad, "layering", "src/storage/cold_store.cc", 2));
+  EXPECT_TRUE(HasFinding(bad, "layering", "src/storage/table.cc", 1));
+  EXPECT_TRUE(HasFinding(bad, "layering", "src/storage/table.cc", 2));
   EXPECT_EQ(CountRule(bad, "layering"), 2) << FormatHuman(bad);
 }
 

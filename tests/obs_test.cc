@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <utility>
@@ -450,6 +453,54 @@ TEST(ServerSnapshotMetricsTest, SnapshotAgeGaugeAndHitCountersAreWired) {
       registry.GetCounter("pisrep_server_snapshot_misses_total")->Value(),
       0u);
   EXPECT_EQ(server.stats().snapshot_hits, 1u);
+}
+
+TEST(StorageMetricsTest, ServerExportsWalCompactionMetrics) {
+  std::string wal_path = testing::TempDir() + "/pisrep_obs_storage_" +
+                         std::to_string(::getpid()) + ".wal";
+  std::remove(wal_path.c_str());
+  auto db = storage::Database::Open(wal_path);
+  ASSERT_TRUE(db.ok());
+  net::EventLoop loop;
+  MetricsRegistry registry;
+  server::ReputationServer::Config config;
+  config.accounts.require_activation = false;
+  config.metrics = &registry;
+  server::ReputationServer server(db->get(), &loop, config);
+
+  ASSERT_TRUE(
+      server.accounts().Register("ada", "password", "a@obs.example", 0).ok());
+  auto session = server.Login("ada", "password", 0);
+  ASSERT_TRUE(session.ok());
+  core::SoftwareMeta meta;
+  meta.id = util::Sha1::Hash("storage-app");
+  meta.file_name = "storage.exe";
+  meta.file_size = 1;
+  meta.version = "1.0";
+  ASSERT_TRUE(
+      server.SubmitRating(*session, meta, 8, "solid", core::kNoBehaviors, 0)
+          .ok());
+
+  server.UpdateStorageMetrics();
+  Gauge* frames =
+      registry.GetGauge("pisrep_storage_wal_frames_since_compaction");
+  Counter* compactions =
+      registry.GetCounter("pisrep_storage_compactions_total");
+  EXPECT_EQ(frames->Value(),
+            static_cast<std::int64_t>((*db)->FramesSinceCompaction()));
+  EXPECT_GT(frames->Value(), 0);
+  EXPECT_EQ(compactions->Value(), 0u);
+
+  ASSERT_TRUE((*db)->Compact().ok());
+  server.UpdateStorageMetrics();
+  EXPECT_EQ(frames->Value(), 0);
+  EXPECT_EQ(compactions->Value(), 1u);
+
+  // The counter exports deltas against a baseline: a second pass with no
+  // new compaction must not double-count.
+  server.UpdateStorageMetrics();
+  EXPECT_EQ(compactions->Value(), 1u);
+  std::remove(wal_path.c_str());
 }
 
 }  // namespace

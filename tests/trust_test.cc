@@ -20,7 +20,7 @@
 #include "server/reputation_server.h"
 #include "sim/scenario.h"
 #include "storage/database.h"
-#include "storage/tiered_table.h"
+#include "storage/table.h"
 #include "storage/value.h"
 #include "trust/audit_log.h"
 #include "trust/policy_rules.h"
@@ -372,7 +372,7 @@ TEST(AuditLogTest, TamperSweepNamesTheExactFirstBadIndex) {
   for (int target = 1; target <= kEntries; ++target) {
     for (int field = 1; field <= 4; ++field) {  // kind, payload, at, hash
       auto db = BuildChain(kEntries);
-      auto table = db->GetTiered(kAuditTable);
+      auto table = db->GetTable(kAuditTable);
       ASSERT_TRUE(table.ok());
       auto row = (*table)->Get(Value::Int(target));
       ASSERT_TRUE(row.ok());
@@ -414,7 +414,7 @@ TEST(AuditLogTest, TamperSweepNamesTheExactFirstBadIndex) {
   // Deleting an interior row surfaces as a gap at exactly that index.
   for (int target = 1; target < kEntries; ++target) {
     auto db = BuildChain(kEntries);
-    auto table = db->GetTiered(kAuditTable);
+    auto table = db->GetTable(kAuditTable);
     ASSERT_TRUE(table.ok());
     ASSERT_TRUE((*table)->Delete(Value::Int(target)).ok());
     ChainVerifyResult chain = VerifyAuditChain(db.get());
@@ -436,7 +436,7 @@ TEST(AuditLogTest, CheckpointPinsTruncatedTail) {
   }
   ASSERT_TRUE(log.WriteCheckpoint(keys.private_key, util::kHour).ok());
 
-  auto table = db->GetTiered(kAuditTable);
+  auto table = db->GetTable(kAuditTable);
   ASSERT_TRUE(table.ok());
   ASSERT_TRUE((*table)->Delete(Value::Int(6)).ok());
 
