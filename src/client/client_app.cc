@@ -16,6 +16,11 @@ using util::Result;
 using util::Status;
 using xml::XmlNode;
 
+/// LRU bound on the response cache.
+constexpr std::size_t kCacheMaxEntries = 4096;
+/// Per-call retry budget.
+constexpr int kRpcRetries = 2;
+
 /// Parses the QuerySoftware response body into the client's PromptInfo.
 PromptInfo InfoFromXml(const XmlNode& response, const core::SoftwareId& id) {
   PromptInfo info;
@@ -86,8 +91,7 @@ ClientApp::ClientApp(net::SimNetwork* network, net::EventLoop* loop,
                                          : SafetyLists()),
       signature_checker_(&trust_store_),
       prompt_scheduler_(config_.prompts),
-      cache_(config_.cache_ttl, config_.cache_stale_ttl,
-             config_.cache_max_entries),
+      cache_(config_.cache_ttl, config_.cache_stale_ttl, kCacheMaxEntries),
       offline_queue_(config_.offline_queue) {
   if (!config_.policy_rules.empty()) {
     auto parsed = trust::ParsePolicyRules(config_.policy_rules, "client-rules");
@@ -111,7 +115,7 @@ ClientApp::ClientApp(net::SimNetwork* network, net::EventLoop* loop,
 }
 
 Status ClientApp::Start() {
-  rpc_.set_max_retries(config_.rpc_retries);
+  rpc_.set_max_retries(kRpcRetries);
   rpc_.set_breaker(config_.breaker);
   return rpc_.Start();
 }

@@ -125,11 +125,8 @@ class ClientApp {
     /// Expired-but-present cache entries up to this age still answer
     /// prompts (marked offline) when the server is unreachable.
     util::Duration cache_stale_ttl = 24 * util::kHour;
-    /// LRU bound on the response cache.
-    std::size_t cache_max_entries = 4096;
-    /// RPC timeout and per-call retry budget (timeouts double per retry).
+    /// RPC timeout (doubles per retry).
     util::Duration rpc_timeout = 5 * util::kSecond;
-    int rpc_retries = 2;
     /// Per-server circuit breaker (fail fast while the server is down).
     net::RpcClient::BreakerConfig breaker;
     /// Offline outbox for ratings submitted while the server is down.

@@ -18,6 +18,9 @@ using util::Result;
 using util::Status;
 using xml::XmlNode;
 
+/// Per-replica digest fetch timeout.
+constexpr util::Duration kRpcTimeout = 2 * util::kSecond;
+
 std::uint64_t AttrU64(const XmlNode& node, std::string_view key) {
   auto parsed = util::ParseInt64(node.AttributeOr(key, "0"));
   if (!parsed.ok() || *parsed < 0) return 0;
@@ -74,15 +77,6 @@ std::string FormatRangeDigests(
     out += buf;
   }
   return out;
-}
-
-std::string ScoreFingerprint(storage::Database* db,
-                             const std::string& id_hex) {
-  auto table = db->GetTable("software_scores");
-  if (!table.ok()) return "absent";
-  auto row = (*table)->Get(storage::Value::Str(id_hex));
-  if (!row.ok()) return "absent";
-  return RowString("software_scores", *row);
 }
 
 AntiEntropyAgent::AntiEntropyAgent(net::SimNetwork* network,
@@ -191,7 +185,7 @@ void AntiEntropyAgent::RunSweep() {
               << " diverged at equal WAL position; forcing snapshot resync";
           shipper_->ForceResync(k);
         },
-        config_.rpc_timeout);
+        kRpcTimeout);
   }
   ScheduleSweep();
 }

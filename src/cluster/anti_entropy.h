@@ -21,7 +21,6 @@ struct AntiEntropyConfig {
   /// Interval between sweeps. Anti-entropy is a safety net behind WAL
   /// shipping, not a delivery mechanism, so it runs coarse by default.
   util::Duration period = 30 * util::kSecond;
-  util::Duration rpc_timeout = 2 * util::kSecond;
 };
 
 /// Key-range digest buckets: rows hash into one of these by the first
@@ -39,12 +38,6 @@ std::array<std::uint64_t, kDigestBuckets> RangeDigestsOf(
 /// Wire form of the bucket array: comma-separated hex.
 std::string FormatRangeDigests(
     const std::array<std::uint64_t, kDigestBuckets>& digests);
-
-/// Exact type-tagged rendering of one software's `software_scores` row
-/// ("absent" when missing) — what the router's read-repair path compares
-/// between primary and replicas.
-std::string ScoreFingerprint(storage::Database* db,
-                             const std::string& id_hex);
 
 /// The primary's periodic anti-entropy sweep: for every replica channel
 /// that believes itself caught up, fetch its range digests and compare

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "cluster/router.h"
+#include "core/rating_aggregator.h"
 #include "proto/wire.h"
 #include "storage/table.h"
 #include "storage/value.h"
@@ -121,11 +122,6 @@ void ShardNode::InstallClusterMethods() {
   net::RpcServer* rpc = server_->rpc_server();
   PISREP_CHECK(rpc != nullptr) << "cluster methods need the RPC front-end";
 
-  rpc->RegisterMethod(std::string(kPingMethod),
-                      [](const XmlNode&) -> Result<XmlNode> {
-                        return XmlNode("result");
-                      });
-
   // The router fans a validated remark's trust side effect to the shards
   // that do not hold the rating row; only the account table is touched.
   rpc->RegisterMethod(
@@ -145,34 +141,6 @@ void ShardNode::InstallClusterMethods() {
         XmlNode result("result");
         result.AddDoubleChild("trust", factor);
         return result;
-      });
-
-  // Read-repair plane: the router probes the primary's exact stored score
-  // row and asks it to resync a replica caught serving a diverged copy.
-  rpc->RegisterMethod(
-      std::string(kScoreFingerprintMethod),
-      [this](const XmlNode& request) -> Result<XmlNode> {
-        XmlNode result("result");
-        result.SetAttribute(
-            "fp", ScoreFingerprint(db_.get(),
-                                   request.ChildText("id").value_or("")));
-        result.SetAttribute(
-            "head",
-            std::to_string(shipper_ != nullptr ? shipper_->head_seq() : 0));
-        return result;
-      });
-  rpc->RegisterMethod(
-      std::string(kRepairReplicaMethod),
-      [this](const XmlNode& request) -> Result<XmlNode> {
-        if (shipper_ == nullptr) {
-          return Status::FailedPrecondition("shard has no replication plane");
-        }
-        auto k = request.ChildInt("replica");
-        if (!k.ok() || *k < 1 || *k > shipper_->replica_count()) {
-          return Status::InvalidArgument("bad replica ordinal");
-        }
-        shipper_->ForceResync(static_cast<int>(*k) - 1);
-        return XmlNode("result");
       });
 
   // Ownership guard: wrap every digest-routed method so a request that
@@ -211,13 +179,10 @@ void ShardNode::InstallResponseGate() {
   ReplicationShipper* shipper = shipper_.get();
   rpc->SetResponseGate(
       [shipper](const std::string& method, std::function<void()> send) {
-        // The control plane must answer even when writes are blocked on a
-        // quorum: a gated ping or gossip exchange would turn replication
-        // trouble into a spurious failover of a healthy primary, and a
-        // gated repair order could never heal the replica it waits on.
-        if (method == kPingMethod || method == kGossipMethod ||
-            method == kScoreFingerprintMethod ||
-            method == kRepairReplicaMethod) {
+        // Gossip must answer even when writes are blocked on a quorum: a
+        // gated exchange would turn replication trouble into a spurious
+        // failover of a healthy primary.
+        if (method == kGossipMethod) {
           send();
           return;
         }
@@ -345,14 +310,12 @@ ShardCluster::ShardCluster(net::SimNetwork* network, net::EventLoop* loop,
                            ClusterConfig config)
     : network_(network),
       loop_(loop),
-      config_(std::move(config)),
-      ring_(config_.vnodes_per_shard) {
+      config_(std::move(config)) {
   PISREP_CHECK(config_.num_shards > 0) << "a cluster needs at least one shard";
   config_.server.accounts.deterministic_tokens = true;
   for (int i = 0; i < config_.num_shards; ++i) {
-    std::string name = config_.name_prefix + std::to_string(next_ordinal_++);
-    ring_.AddShard(name);
-    shards_.push_back(MakeShard(name, i));
+    shards_.push_back(MakeShard());
+    ring_.AddShard(shards_.back()->name());
   }
   if (obs::MetricsRegistry* metrics = config_.server.metrics) {
     failovers_metric_ = metrics->GetCounter("pisrep_cluster_failovers_total");
@@ -366,19 +329,11 @@ ShardCluster::ShardCluster(net::SimNetwork* network, net::EventLoop* loop,
 
 ShardCluster::~ShardCluster() = default;
 
-std::unique_ptr<ShardNode> ShardCluster::MakeShard(const std::string& name,
-                                                   int tuning_index) {
-  server::ReputationServer::Config shard_config = config_.server;
-  if (tuning_index >= 0 &&
-      tuning_index < static_cast<int>(config_.tuning.size())) {
-    const ShardTuning& tuning =
-        config_.tuning[static_cast<std::size_t>(tuning_index)];
-    shard_config.aggregation_full_sweep_every = tuning.full_sweep_every;
-    shard_config.aggregation_force_full_sweep = tuning.force_full_sweep;
-  }
+std::unique_ptr<ShardNode> ShardCluster::MakeShard() {
   return std::make_unique<ShardNode>(
-      network_, loop_, name, std::move(shard_config), config_.replication,
-      &ring_, config_.gossip, config_.anti_entropy,
+      network_, loop_, "shard" + std::to_string(next_ordinal_++),
+      config_.server, config_.replication, &ring_, config_.gossip,
+      config_.anti_entropy,
       [this](const std::string& dead) { return OnGossipDeath(dead); });
 }
 
@@ -428,11 +383,9 @@ Result<core::SoftwareScore> ShardCluster::GetScore(const core::SoftwareId& id) {
 
 Result<core::VendorScore> ShardCluster::MergedVendorScore(
     const core::VendorId& vendor) {
-  // Same arithmetic and same (sorted-shard) order as the router's scatter
-  // merge, so native and RPC reads agree.
-  double weighted_sum = 0.0;
-  int total_count = 0;
-  util::TimePoint computed_at = 0;
+  // Sorted-shard order, as the router's scatter merge, so native and RPC
+  // reads agree.
+  std::vector<core::VendorScore> legs;
   for (const std::string& member : ring_.Members()) {
     ShardNode* node = FindShard(member);
     if (node == nullptr || !node->primary_alive()) {
@@ -440,20 +393,13 @@ Result<core::VendorScore> ShardCluster::MergedVendorScore(
     }
     Result<core::VendorScore> leg =
         node->server()->registry().GetVendorScore(vendor);
-    if (!leg.ok()) continue;  // the vendor has no software on this shard
-    if (leg->software_count <= 0) continue;
-    weighted_sum += leg->score * leg->software_count;
-    total_count += leg->software_count;
-    computed_at = std::max(computed_at, leg->computed_at);
+    // NotFound: the vendor has no software on this shard.
+    if (leg.ok()) legs.push_back(*std::move(leg));
   }
-  if (total_count == 0) {
+  core::VendorScore merged = core::RatingAggregator::MergeVendor(vendor, legs);
+  if (merged.software_count == 0) {
     return Status::NotFound("vendor has no scored software");
   }
-  core::VendorScore merged;
-  merged.vendor = vendor;
-  merged.score = weighted_sum / total_count;
-  merged.software_count = total_count;
-  merged.computed_at = computed_at;
   return merged;
 }
 
@@ -549,9 +495,9 @@ Result<std::string> ShardCluster::AddShard() {
           "cannot reshard while a primary is down: " + shard->name());
     }
   }
-  std::string name = config_.name_prefix + std::to_string(next_ordinal_++);
-  std::unique_ptr<ShardNode> node = MakeShard(name, -1);
+  std::unique_ptr<ShardNode> node = MakeShard();
   ShardNode* raw = node.get();
+  const std::string name = raw->name();
   // Start it *before* joining the ring: until the membership changes the
   // ownership guard redirects every digest-routed request away from it,
   // so a half-seeded newcomer can never serve.

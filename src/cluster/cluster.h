@@ -22,38 +22,19 @@ namespace pisrep::cluster {
 /// Method name of the cluster-internal trust-propagation call (the router
 /// fans a validated remark's trust effect to the non-owning shards).
 inline constexpr std::string_view kApplyRemarkMethod = "ClusterApplyRemark";
-/// Method name of the liveness probe (tests and operators; the failure
-/// detector proper is the gossip plane).
-inline constexpr std::string_view kPingMethod = "ClusterPing";
-
-/// Per-shard overrides of the aggregation cadence (the per-shard config
-/// knobs of ReputationServer::Config): a small shard can afford to sweep
-/// fully every run, a big one cannot.
-struct ShardTuning {
-  std::uint64_t full_sweep_every =
-      server::AggregationJob::kDefaultFullSweepEvery;
-  bool force_full_sweep = false;
-};
-
 struct ClusterConfig {
+  /// Shard i's service address is "shard<i>" — stable across failovers,
+  /// which is what makes promotion transparent to the router. Shards added
+  /// later continue the ordinal sequence.
   int num_shards = 2;
-  /// Shard i's service address is "<name_prefix><i>" — stable across
-  /// failovers, which is what makes promotion transparent to the router.
-  /// Shards added later continue the ordinal sequence.
-  std::string name_prefix = "shard";
-  int vnodes_per_shard = 64;
-  /// Template for every shard's server; per-shard ShardTuning overrides
-  /// layer on top. `accounts.deterministic_tokens` is forced on — cluster
-  /// sessions and activation tokens must validate on every shard and
-  /// survive a failover.
+  /// Template for every shard's server. `accounts.deterministic_tokens` is
+  /// forced on — cluster sessions and activation tokens must validate on
+  /// every shard and survive a failover.
   server::ReputationServer::Config server;
   /// R/W tuning: each shard keeps replication.replication_factor - 1
   /// ReplicaNodes behind its primary and acks writes at
   /// replication.write_quorum copies.
   ReplicationConfig replication;
-  /// Per-shard aggregation overrides, indexed by shard; shorter-than-
-  /// num_shards vectors leave the remaining shards on the template.
-  std::vector<ShardTuning> tuning;
   /// Decentralized failure detection: every primary gossips heartbeats;
   /// the designated survivor fences a silent peer and promotes its best
   /// replica. Disable for tests that drive TriggerFailover manually (the
@@ -97,8 +78,6 @@ class ShardNode {
   ReplicaNode* replica(int k) {
     return replicas_[static_cast<std::size_t>(k)].get();
   }
-  /// The first replica (legacy single-backup accessor).
-  ReplicaNode* replica() { return replicas_.empty() ? nullptr : replica(0); }
   int replica_count() const { return static_cast<int>(replicas_.size()); }
   ReplicationShipper* shipper() { return shipper_.get(); }
   GossipAgent* gossip() { return gossip_.get(); }
@@ -143,8 +122,8 @@ class ShardNode {
 
  private:
   util::Status StartPrimary();
-  /// Registers ClusterPing, ClusterApplyRemark, the read-repair endpoints
-  /// and wraps every digest-routed method in the ownership guard.
+  /// Registers ClusterApplyRemark and wraps every digest-routed method in
+  /// the ownership guard.
   void InstallClusterMethods();
   void InstallResponseGate();
 
@@ -263,8 +242,8 @@ class ShardCluster {
   std::uint64_t migrated_rows() const { return migrated_rows_; }
 
  private:
-  std::unique_ptr<ShardNode> MakeShard(const std::string& name,
-                                       int tuning_index);
+  /// Names the next shard "shard<ordinal>" and builds it from the template.
+  std::unique_ptr<ShardNode> MakeShard();
   util::Status FailoverNode(ShardNode* node);
   /// Moves every digest-routed row on `source` whose ring owner is no
   /// longer `source` to its owner, via logged ops on both sides (so the

@@ -29,7 +29,6 @@ struct GossipConfig {
   /// A peer whose heartbeat has not advanced for this long is suspected
   /// dead; the designated successor then tries to fence and promote it.
   util::Duration suspicion_timeout = 6 * util::kSecond;
-  util::Duration rpc_timeout = 2 * util::kSecond;
 };
 
 /// One shard's view of the gossip plane: a monotone heartbeat for itself,

@@ -11,12 +11,17 @@
 
 namespace pisrep::cluster {
 
+/// Virtual points per shard. The router's ring and the shards' ownership
+/// ring must use the same count, or every digest-routed request whose two
+/// owners disagree takes an `ownership-moved` redirect.
+inline constexpr int kVnodesPerShard = 64;
+
 /// Consistent-hash ring over the SHA-1 digest space.
 ///
 /// The paper identifies every software by its SHA-1 digest (§3.3); the
 /// cluster partitions reputation state by treating the first 8 digest
 /// bytes as a position on a 64-bit ring. Each shard contributes
-/// `vnodes_per_shard` virtual points (SHA-1 of "name#i"), which evens out
+/// kVnodesPerShard virtual points (SHA-1 of "name#i"), which evens out
 /// the per-shard key share, and a digest is owned by the shard whose
 /// point is the first at or clockwise after the digest's position.
 ///
@@ -31,7 +36,10 @@ namespace pisrep::cluster {
 ///    populations in cluster_test.
 class HashRing {
  public:
-  explicit HashRing(int vnodes_per_shard = 64);
+  /// Every deployed ring uses kVnodesPerShard; another count builds a ring
+  /// that disagrees with the deployed one (tests use it to force
+  /// ownership-moved redirects).
+  explicit HashRing(int vnodes_per_shard = kVnodesPerShard);
 
   /// Adds a member; no-op when already present.
   void AddShard(const std::string& name);

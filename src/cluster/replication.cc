@@ -17,6 +17,20 @@ using util::Result;
 using util::Status;
 using xml::XmlNode;
 
+/// Bounded catch-up: the primary retains at most this many unacked WAL
+/// records. A replica that falls further behind cannot be caught up from
+/// the log any more and is re-seeded with a full snapshot instead.
+constexpr std::size_t kMaxLogRecords = 8192;
+/// Records shipped per RPC batch.
+constexpr std::size_t kMaxBatchRecords = 128;
+/// Per-batch RPC timeout.
+constexpr util::Duration kShipTimeout = 2 * util::kSecond;
+/// Delay before re-probing an unreachable replica.
+constexpr util::Duration kRetryDelay = 2 * util::kSecond;
+/// Consecutive shipping failures before a replica's channel is marked
+/// degraded and stops counting toward (or blocking) the write quorum.
+constexpr int kDegradedAfterFailures = 3;
+
 std::uint64_t AttrU64(const XmlNode& node, std::string_view key) {
   auto parsed = util::ParseInt64(node.AttributeOr(key, "0"));
   if (!parsed.ok() || *parsed < 0) return 0;
@@ -110,19 +124,6 @@ Status ReplicaNode::Start() {
           result.SetAttribute("audit_head", audit.head_hash);
           result.SetAttribute("audit_len", std::to_string(audit.length));
         }
-        return result;
-      });
-  // Read repair: the exact stored bytes of one software's score row.
-  rpc_->RegisterMethod(
-      std::string(kReplicaScoreMethod),
-      [this](const XmlNode& request) -> Result<XmlNode> {
-        if (db_ == nullptr) return Status::FailedPrecondition("detached");
-        XmlNode result("result");
-        result.SetAttribute("applied", std::to_string(applied_seq_));
-        result.SetAttribute("stale", stale_ ? "1" : "0");
-        result.SetAttribute(
-            "fp", ScoreFingerprint(db_.get(),
-                                   request.ChildText("id").value_or("")));
         return result;
       });
   return rpc_->Start();
@@ -230,7 +231,7 @@ ReplicationShipper::ReplicationShipper(
       loop_(loop),
       db_(primary_db),
       config_(config),
-      log_(config.max_log_records) {
+      log_(kMaxLogRecords) {
   // The shipper runs its own retry/resync state machine; the generic client
   // breaker would only add a second layer of fast-fails on top of it.
   net::RpcClient::BreakerConfig breaker;
@@ -339,7 +340,7 @@ void ReplicationShipper::GateResponse(const std::string& method,
                                       std::function<void()> send) {
   (void)method;  // all methods gate on WAL position, none on their name
   std::uint64_t needed = log_.head_seq();
-  if (!config_.synchronous_acks || channels_.empty()) {
+  if (channels_.empty()) {
     send();
     return;
   }
@@ -375,7 +376,7 @@ void ReplicationShipper::PumpChannel(std::size_t k) {
     return;
   }
   std::vector<std::pair<std::uint64_t, std::string>> batch;
-  if (!log_.CollectAfter(channel.acked, config_.max_batch_records, &batch) ||
+  if (!log_.CollectAfter(channel.acked, kMaxBatchRecords, &batch) ||
       batch.empty()) {
     return;
   }
@@ -391,7 +392,7 @@ void ReplicationShipper::PumpChannel(std::size_t k) {
         if (alive.expired()) return;
         HandleShipResult(k, /*was_reset=*/false, std::move(result));
       },
-      config_.ship_timeout);
+      kShipTimeout);
 }
 
 void ReplicationShipper::SendSnapshot(std::size_t k) {
@@ -413,7 +414,7 @@ void ReplicationShipper::SendSnapshot(std::size_t k) {
                          << "; retrying";
     if (!channel.retry_scheduled) {
       channel.retry_scheduled = true;
-      loop_->ScheduleAfter(config_.retry_delay,
+      loop_->ScheduleAfter(kRetryDelay,
                            [this, k, alive = std::weak_ptr<int>(alive_)] {
                              if (alive.expired()) return;
                              channels_[k].retry_scheduled = false;
@@ -431,7 +432,7 @@ void ReplicationShipper::SendSnapshot(std::size_t k) {
         if (alive.expired()) return;
         HandleShipResult(k, /*was_reset=*/true, std::move(result));
       },
-      config_.ship_timeout);
+      kShipTimeout);
 }
 
 void ReplicationShipper::HandleShipResult(std::size_t k, bool was_reset,
@@ -441,7 +442,7 @@ void ReplicationShipper::HandleShipResult(std::size_t k, bool was_reset,
   if (!result.ok()) {
     ++channel.failures;
     if (!channel.degraded &&
-        channel.failures >= config_.degraded_after_failures) {
+        channel.failures >= kDegradedAfterFailures) {
       EnterDegraded(channel);
     }
     // Keep probing while responses are still gated; once degraded with
@@ -449,7 +450,7 @@ void ReplicationShipper::HandleShipResult(std::size_t k, bool was_reset,
     // the replica is revived) restart shipping.
     if ((!channel.degraded || !gates_.empty()) && !channel.retry_scheduled) {
       channel.retry_scheduled = true;
-      loop_->ScheduleAfter(config_.retry_delay,
+      loop_->ScheduleAfter(kRetryDelay,
                            [this, k, alive = std::weak_ptr<int>(alive_)] {
                              if (alive.expired()) return;
                              channels_[k].retry_scheduled = false;

@@ -17,41 +17,21 @@
 
 namespace pisrep::cluster {
 
-// Replication-plane RPC method names (registered on ReplicaNodes, except
-// the last two which live on the primary and are called by the Router's
-// read-repair path).
+// Replication-plane RPC method names (registered on ReplicaNodes).
 inline constexpr std::string_view kReplicateMethod = "ShardReplicate";
 inline constexpr std::string_view kReplicaStatusMethod = "ShardReplicaStatus";
 inline constexpr std::string_view kReplicaDigestMethod = "ShardReplicaDigest";
-inline constexpr std::string_view kReplicaScoreMethod = "ShardReplicaScore";
-inline constexpr std::string_view kScoreFingerprintMethod =
-    "ShardScoreFingerprint";
-inline constexpr std::string_view kRepairReplicaMethod = "ShardRepairReplica";
 
 /// Network address of replica k (1-based, k < replication_factor) of shard
 /// `shard`. Replica addresses are a pure function of the shard name, so
-/// the router's read fan-out and the shipper agree without coordination.
+/// the shard node and its shipper agree without coordination.
 std::string ReplicaAddress(const std::string& shard, int k);
 
-/// Tuning for one shard's primary→replicas replication fan-out.
+/// R/W sizing of one shard's primary→replicas replication fan-out. A
+/// client response whose handler advanced the primary's WAL is always held
+/// until `write_quorum` copies hold those records — synchronous
+/// replication, the "zero lost acked votes" guarantee.
 struct ReplicationConfig {
-  /// Bounded catch-up: the primary retains at most this many unacked WAL
-  /// records. A replica that falls further behind cannot be caught up from
-  /// the log any more and is re-seeded with a full snapshot instead.
-  std::size_t max_log_records = 8192;
-  /// Records shipped per RPC batch.
-  std::size_t max_batch_records = 128;
-  /// Per-batch RPC timeout.
-  util::Duration ship_timeout = 2 * util::kSecond;
-  /// Delay before re-probing an unreachable replica.
-  util::Duration retry_delay = 2 * util::kSecond;
-  /// Consecutive shipping failures before a replica's channel is marked
-  /// degraded and stops counting toward (or blocking) the write quorum.
-  int degraded_after_failures = 3;
-  /// When true (the default), a client response whose handler advanced the
-  /// primary's WAL is held until `write_quorum` copies hold those records —
-  /// synchronous replication, the "zero lost acked votes" guarantee.
-  bool synchronous_acks = true;
   /// Total copies of the shard's data including the primary (R). The shard
   /// stands up replication_factor - 1 ReplicaNodes behind its primary.
   int replication_factor = 2;
@@ -149,8 +129,8 @@ class ReplicaNode {
 /// every replica over an independent per-replica channel with its own
 /// acked sequence number, gates client responses on a configurable write
 /// quorum (W of R), and re-seeds any channel that fell behind the bounded
-/// log — or was force-resynced by anti-entropy / read repair — with an
-/// out-of-band full snapshot.
+/// log — or was force-resynced by anti-entropy — with an out-of-band full
+/// snapshot.
 class ReplicationShipper {
  public:
   /// `primary_db` must outlive the shipper; the shipper owns the database's
@@ -198,8 +178,8 @@ class ReplicationShipper {
   /// snapshot is pending) — the precondition for digest comparison.
   bool channel_caught_up(int k) const;
 
-  /// Schedules a full snapshot re-seed of channel k (anti-entropy and
-  /// read-repair call this on detected divergence). No-op on a fenced
+  /// Schedules a full snapshot re-seed of channel k (anti-entropy calls
+  /// this on detected divergence). No-op on a fenced
   /// channel: a replica with a diverged audit chain is evidence, not a
   /// sync bug, and must never be quietly repaired back into the quorum.
   void ForceResync(int k);

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "cluster/replication.h"
+#include "core/rating_aggregator.h"
 #include "proto/wire.h"
 #include "util/hex.h"
 #include "util/logging.h"
@@ -21,15 +21,21 @@ using xml::XmlNode;
 
 constexpr std::string_view kApplyRemarkMethod = "ClusterApplyRemark";
 
+/// Per-forwarded-call RPC timeout.
+constexpr util::Duration kCallTimeout = 5 * util::kSecond;
+/// A broadcast leg to an unreachable shard is tried this many times
+/// (deferred retry: it holds that shard's pipeline, never the others) —
+/// sized to ride out a failover detection + promotion cycle.
+constexpr int kLegAttempts = 5;
+constexpr util::Duration kLegRetryDelay = 2 * util::kSecond;
+/// Ownership-moved redirects followed per request.
+constexpr int kMaxRedirects = 3;
+/// Seed for the router's puzzle-nonce stream.
+constexpr std::uint64_t kNonceSeed = 0x9047e5;
+
 bool IsTransportError(const Status& status) {
   return status.code() == StatusCode::kUnavailable ||
          status.code() == StatusCode::kDataLoss;
-}
-
-std::uint64_t AttrU64(const XmlNode& node, std::string_view key) {
-  auto parsed = util::ParseInt64(node.AttributeOr(key, "0"));
-  if (!parsed.ok() || *parsed < 0) return 0;
-  return static_cast<std::uint64_t>(*parsed);
 }
 
 }  // namespace
@@ -78,8 +84,7 @@ Router::Router(net::SimNetwork* network, net::EventLoop* loop,
       config_(std::move(config)),
       rpc_(network, loop, config_.service_address + "!up",
            /*server_address=*/""),
-      ring_(config_.vnodes_per_shard),
-      nonce_rng_(config_.nonce_seed),
+      nonce_rng_(kNonceSeed),
       metrics_(metrics) {
   // The router retries broadcast legs itself (deferred per-shard retry);
   // digest-plane calls lean on the per-server breaker to fail fast while a
@@ -92,8 +97,6 @@ Router::Router(net::SimNetwork* network, net::EventLoop* loop,
         metrics_->GetCounter("pisrep_cluster_router_ownership_moved_total");
     effect_failures_metric_ =
         metrics_->GetCounter("pisrep_cluster_router_effect_failures_total");
-    read_repairs_metric_ =
-        metrics_->GetCounter("pisrep_cluster_read_repairs_total");
     // Same family and label as RpcServer's count of unparseable requests,
     // so a deployment's front doors report malformed traffic in one place.
     malformed_metric_ = metrics_->GetCounter(
@@ -204,7 +207,7 @@ void Router::RouteByDigest(const net::Message& message,
     return;
   }
   ForwardTo(ring_.OwnerOf(*digest), method, request, message.from, id,
-            config_.max_redirects);
+            kMaxRedirects);
 }
 
 void Router::ForwardTo(const std::string& shard, const std::string& method,
@@ -249,10 +252,6 @@ void Router::ForwardTo(const std::string& shard, const std::string& method,
           }
         }
         if (result.ok() && method == "QuerySoftware") {
-          // Read repair rides on real read traffic: compare the replicas'
-          // stored copy of this score row against the primary's, in the
-          // background — the client's response is never delayed.
-          StartReadRepair(shard, request.ChildText("id").value_or(""));
           // The owning shard reports the vendor score over its own slice
           // of the vendor's software; rewrite it with the cluster-wide
           // merge so a clustered answer matches a single server's.
@@ -281,7 +280,7 @@ void Router::ForwardTo(const std::string& shard, const std::string& method,
         }
         Reply(client, id, std::move(result));
       },
-      config_.call_timeout);
+      kCallTimeout);
 }
 
 // ---------------------------------------------------------------------------
@@ -310,7 +309,7 @@ void Router::Broadcast(const net::Message& message, XmlNode request,
     item.request = request;
     item.op = op;
     item.shard_index = static_cast<int>(i);
-    item.attempts_left = config_.leg_attempts;
+    item.attempts_left = kLegAttempts;
     pipelines_[members[i]].queue.push_back(std::move(item));
     PumpShard(members[i]);
   }
@@ -321,7 +320,7 @@ void Router::EnqueueEffect(const std::string& shard,
   PipelineItem item;
   item.method = method;
   item.request = std::move(request);
-  item.attempts_left = config_.leg_attempts;
+  item.attempts_left = kLegAttempts;
   pipelines_[shard].queue.push_back(std::move(item));
   PumpShard(shard);
 }
@@ -354,7 +353,7 @@ void Router::IssueHead(const std::string& shard) {
           // mid-broadcast is not retried: its leg completes with the
           // error, which FinishBroadcastOp discounts.
           --head.attempts_left;
-          loop_->ScheduleAfter(config_.leg_retry_delay,
+          loop_->ScheduleAfter(kLegRetryDelay,
                                [this, shard,
                                 alive = std::weak_ptr<int>(alive_)] {
                                  if (alive.expired()) return;
@@ -376,7 +375,7 @@ void Router::IssueHead(const std::string& shard) {
         p.busy = false;
         PumpShard(shard);
       },
-      config_.call_timeout);
+      kCallTimeout);
 }
 
 void Router::FinishBroadcastOp(const std::shared_ptr<BroadcastOp>& op) {
@@ -461,8 +460,7 @@ void Router::MergeVendor(const std::string& session,
           // means. NotFound legs own none of the vendor's software and
           // contribute nothing; any other failure wins (lowest shard
           // first) so the caller can retry.
-          double weighted = 0.0;
-          std::int64_t total = 0;
+          std::vector<core::VendorScore> legs;
           for (const auto& leg : scatter->results) {
             if (!leg.has_value()) continue;
             if (!leg->ok()) {
@@ -474,25 +472,25 @@ void Router::MergeVendor(const std::string& session,
             if (node == nullptr) continue;
             auto score = util::ParseDouble(node->AttributeOr("score", "0"));
             auto count = util::ParseInt64(node->AttributeOr("count", "0"));
-            if (!score.ok() || !count.ok() || *count <= 0) continue;
-            weighted += *score * static_cast<double>(*count);
-            total += *count;
+            if (!score.ok() || !count.ok()) continue;
+            core::VendorScore& parsed = legs.emplace_back();
+            parsed.score = *score;
+            parsed.software_count = static_cast<int>(*count);
           }
-          if (total == 0) {
+          core::VendorScore total =
+              core::RatingAggregator::MergeVendor(vendor, legs);
+          if (total.software_count == 0) {
             scatter->done(Status::NotFound("no such vendor: " + vendor));
             return;
           }
           XmlNode merged("result");
           XmlNode& node = merged.AddChild("vendor");
           node.SetAttribute("name", vendor);
-          node.SetAttribute(
-              "score",
-              util::StrFormat("%.6f",
-                              weighted / static_cast<double>(total)));
-          node.SetAttribute("count", std::to_string(total));
+          node.SetAttribute("score", util::StrFormat("%.6f", total.score));
+          node.SetAttribute("count", std::to_string(total.software_count));
           scatter->done(std::move(merged));
         },
-        config_.call_timeout);
+        kCallTimeout);
   }
 }
 
@@ -504,91 +502,6 @@ void Router::ScatterVendor(const net::Message& message,
               [this, client = message.from, id](Result<XmlNode> merged) {
                 Reply(client, id, std::move(merged));
               });
-}
-
-// ---------------------------------------------------------------------------
-// Read-repair plane
-// ---------------------------------------------------------------------------
-
-namespace {
-/// Accumulator shared by one read-repair probe's legs.
-struct ReadProbe {
-  int pending = 0;
-  bool primary_ok = false;
-  std::string primary_fp;
-  std::uint64_t primary_head = 0;
-  struct ReplicaLeg {
-    bool ok = false;
-    bool stale = false;
-    std::uint64_t applied = 0;
-    std::string fp;
-  };
-  std::vector<ReplicaLeg> replicas;
-};
-}  // namespace
-
-void Router::StartReadRepair(const std::string& shard,
-                             const std::string& id_hex) {
-  if (config_.read_fanout <= 0 || id_hex.empty()) return;
-  auto probe = std::make_shared<ReadProbe>();
-  probe->replicas.resize(static_cast<std::size_t>(config_.read_fanout));
-  probe->pending = 1 + config_.read_fanout;
-  auto finish = [this, shard, probe] {
-    if (--probe->pending > 0) return;
-    if (!probe->primary_ok) return;
-    for (std::size_t k = 0; k < probe->replicas.size(); ++k) {
-      const ReadProbe::ReplicaLeg& leg = probe->replicas[k];
-      // Divergence means: the replica claims the exact same WAL position
-      // as the primary yet stores different bytes. A merely *lagging*
-      // replica is not divergent — shipping is already on it.
-      if (!leg.ok || leg.stale || leg.applied != probe->primary_head ||
-          leg.fp == probe->primary_fp) {
-        continue;
-      }
-      ++read_repairs_;
-      if (read_repairs_metric_) read_repairs_metric_->Increment();
-      PISREP_LOG(kWarning) << "router: read repair — replica " << (k + 1)
-                           << " of " << shard
-                           << " diverges from its primary; ordering resync";
-      XmlNode repair("r");
-      repair.AddIntChild("replica", static_cast<std::int64_t>(k + 1));
-      rpc_.CallTo(shard, kRepairReplicaMethod, std::move(repair),
-                  [](Result<XmlNode>) {}, config_.call_timeout);
-    }
-  };
-  XmlNode params("r");
-  params.AddTextChild("id", id_hex);
-  rpc_.CallTo(
-      shard, kScoreFingerprintMethod, params,
-      [probe, finish, alive = std::weak_ptr<int>(alive_)](
-          Result<XmlNode> result) {
-        if (alive.expired()) return;
-        if (result.ok()) {
-          probe->primary_ok = true;
-          probe->primary_fp = result->AttributeOr("fp", "");
-          probe->primary_head = AttrU64(*result, "head");
-        }
-        finish();
-      },
-      config_.call_timeout);
-  for (int k = 1; k <= config_.read_fanout; ++k) {
-    rpc_.CallTo(
-        ReplicaAddress(shard, k), kReplicaScoreMethod, params,
-        [probe, finish, k, alive = std::weak_ptr<int>(alive_)](
-            Result<XmlNode> result) {
-          if (alive.expired()) return;
-          ReadProbe::ReplicaLeg& leg =
-              probe->replicas[static_cast<std::size_t>(k - 1)];
-          if (result.ok()) {
-            leg.ok = true;
-            leg.stale = result->AttributeOr("stale", "0") == "1";
-            leg.applied = AttrU64(*result, "applied");
-            leg.fp = result->AttributeOr("fp", "");
-          }
-          finish();
-        },
-        config_.call_timeout);
-  }
 }
 
 }  // namespace pisrep::cluster

@@ -30,29 +30,10 @@ bool IsDigestRoutedMethod(const std::string& method);
 util::Result<util::Sha1Digest> RoutingDigestOf(const std::string& method,
                                                const xml::XmlNode& request);
 
-/// Router tuning.
 struct RouterConfig {
   /// The address the router binds — clients talk to it exactly as they
   /// would to a single server ("server" in the sim).
   std::string service_address = "server";
-  int vnodes_per_shard = 64;
-  /// Per-forwarded-call RPC timeout.
-  util::Duration call_timeout = 5 * util::kSecond;
-  /// A broadcast leg to an unreachable shard is retried this many times
-  /// (deferred retry: it holds that shard's pipeline, never the others) —
-  /// sized to ride out a failover detection + promotion cycle.
-  int leg_attempts = 5;
-  util::Duration leg_retry_delay = 2 * util::kSecond;
-  /// Ownership-moved redirects followed per request.
-  int max_redirects = 3;
-  /// Seed for the router's puzzle-nonce stream.
-  std::uint64_t nonce_seed = 0x9047e5;
-  /// Read repair: after a successful QuerySoftware, probe this many of the
-  /// owning shard's replicas (ordinals 1..read_fanout) and compare their
-  /// stored score row against the primary's; a replica that is at the same
-  /// WAL position yet answers differently is forced into snapshot resync.
-  /// The client's response is never delayed. 0 disables.
-  int read_fanout = 0;
 };
 
 /// The client-facing front door of the cluster (and, pointed at by a
@@ -110,8 +91,6 @@ class Router {
 
   std::uint64_t requests() const { return requests_; }
   std::uint64_t redirects_followed() const { return redirects_followed_; }
-  /// Replicas detected serving a diverged score row and sent to resync.
-  std::uint64_t read_repairs() const { return read_repairs_; }
 
  private:
   /// One client-visible broadcast operation, fanned into N pipeline legs.
@@ -171,10 +150,6 @@ class Router {
   void MergeVendor(const std::string& session, const std::string& vendor,
                    std::function<void(util::Result<xml::XmlNode>)> done);
 
-  /// Read-repair plane: fire-and-forget comparison of the owning shard's
-  /// replicas against its primary for one software's score row.
-  void StartReadRepair(const std::string& shard, const std::string& id_hex);
-
   obs::Counter* ShardRequestCounter(const std::string& shard);
 
   net::SimNetwork* network_;
@@ -188,14 +163,12 @@ class Router {
 
   std::uint64_t requests_ = 0;
   std::uint64_t redirects_followed_ = 0;
-  std::uint64_t read_repairs_ = 0;
 
   obs::MetricsRegistry* metrics_ = nullptr;
   std::unordered_map<std::string, obs::Counter*> shard_counters_;
   obs::Counter* broadcast_ops_metric_ = nullptr;
   obs::Counter* ownership_moved_metric_ = nullptr;
   obs::Counter* effect_failures_metric_ = nullptr;
-  obs::Counter* read_repairs_metric_ = nullptr;
   obs::Counter* malformed_metric_ = nullptr;
   obs::Histogram* scatter_ms_ = nullptr;
 };

@@ -1,5 +1,7 @@
 #include "core/rating_aggregator.h"
 
+#include <algorithm>
+
 namespace pisrep::core {
 
 SoftwareScore RatingAggregator::Aggregate(
@@ -45,6 +47,23 @@ VendorScore RatingAggregator::AggregateVendor(
   }
   if (result.software_count > 0) {
     result.score = sum / result.software_count;
+  }
+  return result;
+}
+
+VendorScore RatingAggregator::MergeVendor(
+    const VendorId& vendor, const std::vector<VendorScore>& shards) {
+  VendorScore result;
+  result.vendor = vendor;
+  double weighted_sum = 0.0;
+  for (const VendorScore& shard : shards) {
+    if (shard.software_count <= 0) continue;
+    weighted_sum += shard.score * shard.software_count;
+    result.software_count += shard.software_count;
+    result.computed_at = std::max(result.computed_at, shard.computed_at);
+  }
+  if (result.software_count > 0) {
+    result.score = weighted_sum / result.software_count;
   }
   return result;
 }

@@ -39,6 +39,14 @@ class RatingAggregator {
   static VendorScore AggregateVendor(const VendorId& vendor,
                                      const std::vector<SoftwareScore>& scores,
                                      util::TimePoint now);
+
+  /// Cluster-wide vendor score from per-shard vendor scores: the mean of
+  /// the shard means weighted by each shard's software count, summed in
+  /// the order given (callers pass shards in sorted order, so every path
+  /// computes the same bits). Shards with no scored software contribute
+  /// nothing; software_count == 0 in the result means no shard had any.
+  static VendorScore MergeVendor(const VendorId& vendor,
+                                 const std::vector<VendorScore>& shards);
 };
 
 }  // namespace pisrep::core

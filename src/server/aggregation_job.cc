@@ -92,7 +92,7 @@ std::size_t AggregationJob::RunOnce(util::TimePoint now, bool full_sweep) {
   // The first run after construction is always a full sweep: dirty state is
   // in-memory and did not observe whatever happened before a restart.
   const bool sweep =
-      full_sweep || force_full_sweep_ || runs_ == 1 ||
+      full_sweep || runs_ == 1 ||
       (full_sweep_every_ != 0 && runs_ % full_sweep_every_ == 0);
 
   // Consume every dirty source even when sweeping, so the next incremental

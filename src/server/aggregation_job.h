@@ -75,17 +75,8 @@ class AggregationJob {
   bool trust_weighting() const { return trust_weighting_; }
 
   /// Forces a full sweep every `n` runs; 0 disables the periodic guard
-  /// (the first run and the explicit escape hatch still sweep fully).
+  /// (the first run and RunOnce's `full_sweep` argument still sweep fully).
   void set_full_sweep_every(std::uint64_t n) { full_sweep_every_ = n; }
-  std::uint64_t full_sweep_every() const { return full_sweep_every_; }
-
-  /// Standing escape hatch: while set, *every* run (scheduled or manual)
-  /// is a full sweep, regardless of `full_sweep_every`. This used to exist
-  /// only as RunOnce's call-site argument; as configuration it can differ
-  /// per shard in a cluster (a small shard can afford to always sweep,
-  /// a big one cannot). Default off — output is bit-identical to before.
-  void set_force_full_sweep(bool force) { force_full_sweep_ = force; }
-  bool force_full_sweep() const { return force_full_sweep_; }
 
   /// Recomputes scores as of `now` — incrementally, unless `full_sweep`
   /// asks for the paper's recompute-everything behaviour. Returns the
@@ -136,7 +127,6 @@ class AggregationJob {
   AccountManager* accounts_;
   bool trust_weighting_ = true;
   std::uint64_t full_sweep_every_ = kDefaultFullSweepEvery;
-  bool force_full_sweep_ = false;
   /// Trust generation already folded into scores by previous runs.
   std::uint64_t trust_generation_seen_ = 0;
   std::uint64_t runs_ = 0;

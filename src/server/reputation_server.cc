@@ -56,8 +56,6 @@ ReputationServer::ReputationServer(storage::Database* db,
       aggregation_(&registry_, &votes_, &accounts_),
       bootstrap_(&registry_) {
   aggregation_.set_trust_weighting(config_.trust_weighting);
-  aggregation_.set_full_sweep_every(config_.aggregation_full_sweep_every);
-  aggregation_.set_force_full_sweep(config_.aggregation_force_full_sweep);
   if (config_.metrics != nullptr || config_.tracer != nullptr) {
     votes_.AttachMetrics(config_.metrics);
     flood_.AttachMetrics(config_.metrics);
@@ -110,6 +108,10 @@ ReputationServer::ReputationServer(storage::Database* db,
         config_.metrics->GetGauge("pisrep_trust_audit_chain_length");
     trust_checkpoint_age_gauge_ =
         config_.metrics->GetGauge("pisrep_trust_checkpoint_age");
+    wal_frames_gauge_ = config_.metrics->GetGauge(
+        "pisrep_storage_wal_frames_since_compaction");
+    compactions_metric_ =
+        config_.metrics->GetCounter("pisrep_storage_compactions_total");
     if (audit_ != nullptr && trust_chain_length_gauge_ != nullptr) {
       trust_chain_length_gauge_->Set(
           static_cast<std::int64_t>(audit_->head_index()));
@@ -247,13 +249,11 @@ void ReputationServer::PublishSnapshot() {
 }
 
 void ReputationServer::UpdateStorageMetrics() {
-  if (config_.metrics == nullptr) return;
-  obs::MetricsRegistry* metrics = config_.metrics;
-  metrics->GetGauge("pisrep_storage_wal_frames_since_compaction")
-      ->Set(static_cast<std::int64_t>(db_->FramesSinceCompaction()));
+  if (wal_frames_gauge_ == nullptr) return;
+  wal_frames_gauge_->Set(
+      static_cast<std::int64_t>(db_->FramesSinceCompaction()));
   std::size_t compactions = db_->compactions();
-  metrics->GetCounter("pisrep_storage_compactions_total")
-      ->Increment(compactions - compactions_seen_);
+  compactions_metric_->Increment(compactions - compactions_seen_);
   compactions_seen_ = compactions;
 }
 

@@ -108,16 +108,6 @@ class ReputationServer {
     /// lose meta-moderation (remarks need linkable authorship).
     bool pseudonymous_votes = false;
     std::string pseudonym_secret = "pisrep-pseudonym-secret";
-    /// Every Nth aggregation run is widened to a full sweep (drift
-    /// guard); 0 disables the periodic guard. Per-server (and therefore
-    /// per-shard in a cluster): shards of different sizes can sweep on
-    /// different cadences.
-    std::uint64_t aggregation_full_sweep_every =
-        AggregationJob::kDefaultFullSweepEvery;
-    /// Standing escape hatch: when true, every aggregation run is a full
-    /// sweep. Per-shard config like the cadence above; default off keeps
-    /// single-server output bit-identical.
-    bool aggregation_force_full_sweep = false;
     /// Observability (optional, both null by default — instrumented paths
     /// then cost one branch each). Neither is owned; both must outlive the
     /// server. The registry feeds the `/metrics` portal endpoint, the
@@ -194,8 +184,9 @@ class ReputationServer {
   void PublishSnapshot();
 
   /// Re-exports the pisrep_storage_* WAL-compaction metrics from the
-  /// database's current counters. Called once at construction; no-op
-  /// without a metrics registry.
+  /// database's current counters. Called at construction and by the web
+  /// portal before every `/metrics` render; no-op without a metrics
+  /// registry.
   void UpdateStorageMetrics();
 
   /// Submits a rating (registering the software from `meta` if new).
@@ -337,6 +328,8 @@ class ReputationServer {
   obs::Counter* trust_checkpoints_metric_ = nullptr;
   obs::Gauge* trust_chain_length_gauge_ = nullptr;
   obs::Gauge* trust_checkpoint_age_gauge_ = nullptr;
+  obs::Gauge* wal_frames_gauge_ = nullptr;
+  obs::Counter* compactions_metric_ = nullptr;
   std::unique_ptr<obs::SnapshotLogger> snapshot_logger_;
   /// Liveness token for the snapshot-logger schedule (same pattern as the
   /// aggregation job): Stop() resets it and queued ticks become no-ops.

@@ -44,7 +44,6 @@ ScenarioRunner::ScenarioRunner(ScenarioConfig config)
     cluster::ClusterConfig cluster_config;
     cluster_config.num_shards = config_.num_shards;
     cluster_config.server = config_.server;
-    cluster_config.replication = config_.replication;
     cluster_config.gossip = config_.cluster_gossip;
     cluster_config.anti_entropy = config_.cluster_anti_entropy;
     cluster_ = std::make_unique<cluster::ShardCluster>(network_.get(), &loop_,

@@ -96,7 +96,6 @@ struct ScenarioConfig {
   /// bit-identical. Cluster shards are in-memory (`server_db_path` must
   /// stay empty); durability comes from replication, not a WAL file.
   int num_shards = 1;
-  cluster::ReplicationConfig replication;
   /// Gossip failure detection for the cluster. Disabled by default so
   /// benches and chaos tests drive failures explicitly and the event loop
   /// can drain; enable for decentralized auto-failover.

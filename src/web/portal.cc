@@ -4,6 +4,7 @@
 #include <cstring>
 #include <vector>
 
+#include "core/rating_aggregator.h"
 #include "obs/export.h"
 #include "util/hex.h"
 #include "util/string_util.h"
@@ -69,24 +70,15 @@ server::ReputationServer* WebPortal::OwnerOf(const SoftwareId& id) const {
 Result<core::VendorScore> WebPortal::MergedVendorScore(
     const std::vector<server::ReputationServer*>& shards,
     const core::VendorId& vendor) const {
-  double weighted_sum = 0.0;
-  int total_count = 0;
-  util::TimePoint computed_at = 0;
+  std::vector<core::VendorScore> legs;
   for (server::ReputationServer* shard : shards) {
     auto leg = shard->registry().GetVendorScore(vendor);
-    if (!leg.ok() || leg->software_count <= 0) continue;
-    weighted_sum += leg->score * leg->software_count;
-    total_count += leg->software_count;
-    computed_at = std::max(computed_at, leg->computed_at);
+    if (leg.ok()) legs.push_back(*std::move(leg));
   }
-  if (total_count == 0) {
+  core::VendorScore merged = core::RatingAggregator::MergeVendor(vendor, legs);
+  if (merged.software_count == 0) {
     return Status::NotFound("vendor has no scored software");
   }
-  core::VendorScore merged;
-  merged.vendor = vendor;
-  merged.score = weighted_sum / total_count;
-  merged.software_count = total_count;
-  merged.computed_at = computed_at;
   return merged;
 }
 
@@ -434,8 +426,11 @@ std::string WebPortal::TrustPage() const {
 Result<std::string> WebPortal::MetricsPage(bool json) const {
   // Raw exposition, not HTML: the consumers are scrapers and tooling. All
   // shards share one registry in a cluster; the first live backend with
-  // one attached serves it.
-  for (server::ReputationServer* shard : Shards()) {
+  // one attached serves it. Storage counters live in the databases, so
+  // they are pulled into the registry first.
+  std::vector<server::ReputationServer*> shards = Shards();
+  for (server::ReputationServer* shard : shards) shard->UpdateStorageMetrics();
+  for (server::ReputationServer* shard : shards) {
     const obs::MetricsRegistry* metrics = shard->metrics();
     if (metrics != nullptr) {
       return json ? obs::RenderJson(*metrics) : obs::RenderText(*metrics);

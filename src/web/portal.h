@@ -76,7 +76,8 @@ class WebPortal {
   /// health (length, head hash, checkpoints).
   std::string TrustPage() const;
   /// Text (`json == false`) or JSON exposition of the server's metrics
-  /// registry; kUnavailable when no registry is attached.
+  /// registry, with every backend's storage metrics refreshed first;
+  /// kUnavailable when no registry is attached.
   util::Result<std::string> MetricsPage(bool json) const;
 
   /// Decodes %XX escapes and '+' in a URL query component.

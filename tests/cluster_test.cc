@@ -120,7 +120,7 @@ TEST(HashRing, RemovingAShardMovesOnlyItsOwnKeys) {
 
 TEST(HashRing, VnodesSpreadLoadAcrossEveryShard) {
   auto digests = SyntheticDigests(1000);
-  HashRing ring(64);
+  HashRing ring;
   for (int i = 0; i < 4; ++i) ring.AddShard(StrFormat("shard%d", i));
   auto histogram = OwnerHistogram(ring, digests);
   ASSERT_EQ(histogram.size(), 4u);
@@ -344,12 +344,11 @@ class Harness {
  public:
   /// `gossip_period` > 0 turns on decentralized failure detection with a
   /// suspicion timeout of three periods; 0 leaves both background agents
-  /// off so the event loop can drain. `tweak` gets the final word on both
-  /// configs (replication factor, quorum, anti-entropy, read fan-out).
-  explicit Harness(
-      int num_shards, util::Duration gossip_period = 0,
-      obs::MetricsRegistry* metrics = nullptr,
-      std::function<void(ClusterConfig&, RouterConfig&)> tweak = {})
+  /// off so the event loop can drain. `tweak` gets the final word on the
+  /// cluster config (replication factor, quorum, anti-entropy).
+  explicit Harness(int num_shards, util::Duration gossip_period = 0,
+                   obs::MetricsRegistry* metrics = nullptr,
+                   std::function<void(ClusterConfig&)> tweak = {})
       : network_(&loop_, net::NetworkConfig{}) {
     if (num_shards > 0) {
       ClusterConfig config;
@@ -363,7 +362,7 @@ class Harness {
       config.anti_entropy.enabled = false;
       RouterConfig rc;
       rc.service_address = "server";
-      if (tweak) tweak(config, rc);
+      if (tweak) tweak(config);
       cluster_ = std::make_unique<ShardCluster>(&network_, &loop_,
                                                 std::move(config));
       PISREP_CHECK(cluster_->Start().ok());
@@ -837,7 +836,7 @@ TEST(ClusterFailover, GossipDeathReportIsRefusedWhileThePrimaryAnswers) {
 TEST(ClusterQuorum, WritesRideOutASingleReplicaCrashAtFullQuorum) {
   // R=3/W=2: the primary plus either replica satisfy the quorum, so one
   // replica crash neither delays nor downgrades a single acked write.
-  Harness h(2, 0, nullptr, [](ClusterConfig& c, RouterConfig&) {
+  Harness h(2, 0, nullptr, [](ClusterConfig& c) {
     c.replication.replication_factor = 3;
     c.replication.write_quorum = 2;
   });
@@ -860,7 +859,7 @@ TEST(ClusterQuorum, WritesRideOutASingleReplicaCrashAtFullQuorum) {
 
 TEST(ClusterQuorum, LosingTheWholeQuorumDegradesButNeverWedges) {
   obs::MetricsRegistry metrics;
-  Harness h(2, 0, &metrics, [](ClusterConfig& c, RouterConfig&) {
+  Harness h(2, 0, &metrics, [](ClusterConfig& c) {
     c.replication.replication_factor = 3;
     c.replication.write_quorum = 2;
   });
@@ -1005,12 +1004,12 @@ TEST(ClusterRouting, DirectShardClientFollowsOneRedirect) {
 }
 
 // ---------------------------------------------------------------------------
-// Anti-entropy and read repair: silent divergence is found and healed
+// Anti-entropy: silent divergence is found and healed
 // ---------------------------------------------------------------------------
 
 TEST(ClusterAntiEntropy, DivergentReplicaIsDetectedAndResynced) {
   obs::MetricsRegistry metrics;
-  Harness h(1, 0, &metrics, [](ClusterConfig& c, RouterConfig&) {
+  Harness h(1, 0, &metrics, [](ClusterConfig& c) {
     c.anti_entropy.enabled = true;
     c.anti_entropy.period = 5 * util::kSecond;
   });
@@ -1056,52 +1055,6 @@ TEST(ClusterAntiEntropy, DivergentReplicaIsDetectedAndResynced) {
                     "pisrep_cluster_anti_entropy_repairs_total", "shard",
                     node->name()))
                 ->Value(),
-            1u);
-}
-
-TEST(ClusterReadRepair, DivergedScoreRowIsRepairedAfterAQuery) {
-  obs::MetricsRegistry metrics;
-  Harness h(2, 0, &metrics, [](ClusterConfig&, RouterConfig& r) {
-    r.read_fanout = 1;
-  });
-  std::string session = h.Onboard("rr-user");
-  ASSERT_TRUE(h.SubmitRating(session, ProgramMeta(0), 9, "to-score").ok());
-  h.RunAggregation(util::kDay);
-
-  ShardNode* owner = h.cluster()->OwnerShard(ProgramMeta(0).id);
-  h.Pump([&] { return owner->shipper()->channel_caught_up(0); }, 30);
-  ASSERT_TRUE(owner->shipper()->channel_caught_up(0));
-
-  const std::string hex = ProgramMeta(0).id.ToHex();
-  auto table = owner->replica(0)->db()->GetTable("software_scores");
-  ASSERT_TRUE(table.ok());
-  auto row = (*table)->Get(storage::Value::Str(hex));
-  ASSERT_TRUE(row.ok());
-  storage::Row poisoned = *row;
-  poisoned[1] = storage::Value::Real(0.125);
-  ASSERT_TRUE((*table)->UpsertUnlogged(std::move(poisoned)).ok());
-  ASSERT_NE(ScoreFingerprint(owner->replica(0)->db(), hex),
-            ScoreFingerprint(owner->db(), hex));
-
-  // An ordinary routed read triggers the repair; the client's response is
-  // served straight from the primary, undelayed and uncorrupted.
-  XmlNode query("request");
-  query.AddTextChild("session", session);
-  query.AddTextChild("id", hex);
-  auto response = h.Call("QuerySoftware", std::move(query));
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-
-  h.Pump([&] { return h.router()->read_repairs() >= 1; }, 30);
-  EXPECT_GE(h.router()->read_repairs(), 1u);
-  h.Pump(
-      [&] {
-        return ScoreFingerprint(owner->replica(0)->db(), hex) ==
-               ScoreFingerprint(owner->db(), hex);
-      },
-      30);
-  EXPECT_EQ(ScoreFingerprint(owner->replica(0)->db(), hex),
-            ScoreFingerprint(owner->db(), hex));
-  EXPECT_GE(metrics.GetCounter("pisrep_cluster_read_repairs_total")->Value(),
             1u);
 }
 
@@ -1347,28 +1300,6 @@ TEST(ClusterPortal, PortalMergesPagesAcrossShards) {
   auto native = cluster->MergedVendorScore("vendor-0");
   ASSERT_TRUE(native.ok());
   EXPECT_NE(portal.HomePage().find("programs tracked"), std::string::npos);
-}
-
-TEST(ClusterTuning, PerShardSweepCadenceIsHonored) {
-  net::EventLoop loop;
-  net::SimNetwork network(&loop, net::NetworkConfig{});
-  ClusterConfig config;
-  config.num_shards = 2;
-  config.gossip.enabled = false;
-  config.anti_entropy.enabled = false;
-  // Shard 0 sweeps fully on every run; shard 1 keeps the template default
-  // (incremental with the periodic full sweep).
-  config.tuning.push_back({.full_sweep_every = 1, .force_full_sweep = true});
-  ShardCluster cluster(&network, &loop, std::move(config));
-  ASSERT_TRUE(cluster.Start().ok());
-
-  // First runs are full everywhere (cold start); the second run is where
-  // the cadence divides them.
-  cluster.RunAggregationAll(util::kDay);
-  cluster.RunAggregationAll(2 * util::kDay);
-  EXPECT_TRUE(cluster.primary(0)->aggregation().last_stats().full_sweep);
-  EXPECT_FALSE(cluster.primary(1)->aggregation().last_stats().full_sweep);
-  cluster.StopAll();
 }
 
 // ---------------------------------------------------------------------------

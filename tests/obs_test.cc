@@ -22,6 +22,7 @@
 #include "util/clock.h"
 #include "util/sha1.h"
 #include "util/string_util.h"
+#include "web/portal.h"
 #include "xml/xml_node.h"
 
 namespace pisrep::obs {
@@ -481,25 +482,47 @@ TEST(StorageMetricsTest, ServerExportsWalCompactionMetrics) {
       server.SubmitRating(*session, meta, 8, "solid", core::kNoBehaviors, 0)
           .ok());
 
-  server.UpdateStorageMetrics();
-  Gauge* frames =
-      registry.GetGauge("pisrep_storage_wal_frames_since_compaction");
-  Counter* compactions =
-      registry.GetCounter("pisrep_storage_compactions_total");
-  EXPECT_EQ(frames->Value(),
-            static_cast<std::int64_t>((*db)->FramesSinceCompaction()));
-  EXPECT_GT(frames->Value(), 0);
-  EXPECT_EQ(compactions->Value(), 0u);
+  // The portal refreshes storage metrics on every /metrics render; nothing
+  // here calls UpdateStorageMetrics by hand.
+  web::WebPortal portal(&server);
+  auto sample = [&portal](std::string_view family) -> std::string {
+    auto text = portal.Handle("/metrics");
+    if (!text.ok()) return "unavailable";
+    std::string prefix = std::string(family) + " ";
+    for (std::string_view line : util::Split(*text, '\n')) {
+      if (util::StartsWith(line, prefix)) {
+        return std::string(line.substr(prefix.size()));
+      }
+    }
+    return "missing";
+  };
+  const std::string frames_family =
+      "pisrep_storage_wal_frames_since_compaction";
+  const std::string compactions_family = "pisrep_storage_compactions_total";
+  ASSERT_GT((*db)->FramesSinceCompaction(), 0u);
+  EXPECT_EQ(sample(frames_family),
+            std::to_string((*db)->FramesSinceCompaction()));
+  EXPECT_EQ(sample(compactions_family), "0");
+
+  // More WAL growth shows up on the next scrape.
+  const std::size_t before = (*db)->FramesSinceCompaction();
+  meta.id = util::Sha1::Hash("storage-app-2");
+  meta.file_name = "storage2.exe";
+  ASSERT_TRUE(server
+                  .SubmitRating(*session, meta, 7, "also solid",
+                                core::kNoBehaviors, 0)
+                  .ok());
+  ASSERT_GT((*db)->FramesSinceCompaction(), before);
+  EXPECT_EQ(sample(frames_family),
+            std::to_string((*db)->FramesSinceCompaction()));
 
   ASSERT_TRUE((*db)->Compact().ok());
-  server.UpdateStorageMetrics();
-  EXPECT_EQ(frames->Value(), 0);
-  EXPECT_EQ(compactions->Value(), 1u);
+  EXPECT_EQ(sample(frames_family), "0");
+  EXPECT_EQ(sample(compactions_family), "1");
 
-  // The counter exports deltas against a baseline: a second pass with no
+  // The counter exports deltas against a baseline: a second scrape with no
   // new compaction must not double-count.
-  server.UpdateStorageMetrics();
-  EXPECT_EQ(compactions->Value(), 1u);
+  EXPECT_EQ(sample(compactions_family), "1");
   std::remove(wal_path.c_str());
 }
 
