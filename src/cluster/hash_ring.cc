@@ -6,10 +6,6 @@
 
 namespace pisrep::cluster {
 
-HashRing::HashRing(int vnodes_per_shard) : vnodes_(vnodes_per_shard) {
-  PISREP_CHECK(vnodes_ > 0) << "a shard needs at least one virtual node";
-}
-
 std::uint64_t HashRing::PointOf(const util::Sha1Digest& digest) {
   std::uint64_t point = 0;
   for (int i = 0; i < 8; ++i) {
@@ -34,7 +30,7 @@ void HashRing::Rebuild() {
   // makes the map a pure function of the membership, independent of the
   // order in which shards were added or removed.
   for (const std::string& name : members_) {
-    for (int v = 0; v < vnodes_; ++v) {
+    for (int v = 0; v < kVnodesPerShard; ++v) {
       util::Sha1Digest point_digest =
           util::Sha1::Hash(name + "#" + std::to_string(v));
       std::uint64_t point = PointOf(point_digest);

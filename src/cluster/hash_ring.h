@@ -11,9 +11,9 @@
 
 namespace pisrep::cluster {
 
-/// Virtual points per shard. The router's ring and the shards' ownership
-/// ring must use the same count, or every digest-routed request whose two
-/// owners disagree takes an `ownership-moved` redirect.
+/// Virtual points per shard. Every ring uses this one count, so any two
+/// rings over the same members — the router's and the shards' — agree on
+/// every digest.
 inline constexpr int kVnodesPerShard = 64;
 
 /// Consistent-hash ring over the SHA-1 digest space.
@@ -36,11 +36,6 @@ inline constexpr int kVnodesPerShard = 64;
 ///    populations in cluster_test.
 class HashRing {
  public:
-  /// Every deployed ring uses kVnodesPerShard; another count builds a ring
-  /// that disagrees with the deployed one (tests use it to force
-  /// ownership-moved redirects).
-  explicit HashRing(int vnodes_per_shard = kVnodesPerShard);
-
   /// Adds a member; no-op when already present.
   void AddShard(const std::string& name);
   /// Removes a member; no-op when absent.
@@ -80,7 +75,6 @@ class HashRing {
  private:
   void Rebuild();
 
-  int vnodes_;
   std::set<std::string> members_;
   std::map<std::uint64_t, std::string> ring_;
 };

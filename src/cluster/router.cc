@@ -224,10 +224,11 @@ void Router::ForwardTo(const std::string& shard, const std::string& method,
         if (!result.ok() &&
             result.status().code() == StatusCode::kFailedPrecondition &&
             proto::IsOwnershipMoved(result.status().message())) {
+          // The guard names the owner under the cluster's current ring,
+          // which may hold a shard this router has not been told about yet.
           std::string target =
               proto::OwnershipMovedTarget(result.status().message());
-          if (redirects_left > 0 && ring_.Contains(target) &&
-              target != shard) {
+          if (redirects_left > 0 && !target.empty() && target != shard) {
             ++redirects_followed_;
             if (ownership_moved_metric_) ownership_moved_metric_->Increment();
             ForwardTo(target, method, std::move(request), client, id,

@@ -84,10 +84,6 @@ class Router {
   void RemoveShard(const std::string& name);
 
   const HashRing& ring() const { return ring_; }
-  /// Replaces the ring wholesale — tests use this to induce ownership skew
-  /// (router believes one mapping, shards another) and exercise the
-  /// ownership-moved redirect path.
-  void SetRing(HashRing ring) { ring_ = std::move(ring); }
 
   std::uint64_t requests() const { return requests_; }
   std::uint64_t redirects_followed() const { return redirects_followed_; }

@@ -136,6 +136,7 @@ ReputationServer::ReputationServer(storage::Database* db,
         config_.metrics_snapshot_period,
         [this, token = std::weak_ptr<int>(snapshot_token_)] {
           if (token.expired()) return;
+          UpdateStorageMetrics();
           snapshot_logger_->Tick(loop_->Now());
         });
   }

@@ -184,9 +184,9 @@ class ReputationServer {
   void PublishSnapshot();
 
   /// Re-exports the pisrep_storage_* WAL-compaction metrics from the
-  /// database's current counters. Called at construction and by the web
-  /// portal before every `/metrics` render; no-op without a metrics
-  /// registry.
+  /// database's current counters. Called at construction, before every
+  /// periodic snapshot log line, and by the web portal before every
+  /// `/metrics` render; no-op without a metrics registry.
   void UpdateStorageMetrics();
 
   /// Submits a rating (registering the software from `meta` if new).

@@ -922,20 +922,18 @@ TEST(ClusterRouting, RouterChasesOwnershipMovedRedirects) {
   Harness h(2);
   std::string session = h.Onboard("redirect-user");
 
-  // Skew the router: same two members, but a 1-vnode-per-shard ring, so
-  // some digests map to a different owner than under the shards' true
-  // 64-vnode ring. Those requests bounce off the wrong shard with
-  // `ownership-moved` and must be chased to the shard the guard named.
-  HashRing skewed(1);
-  skewed.AddShard(h.cluster()->ShardName(0));
-  skewed.AddShard(h.cluster()->ShardName(1));
+  // Skew the router: it is told shard1 left, while the cluster still has
+  // it. A digest shard1 owns then goes to shard0, bounces off its guard
+  // with `ownership-moved` and must be chased to shard1.
   int misrouted = -1;
   for (int i = 0; i < 256 && misrouted < 0; ++i) {
-    const core::SoftwareId id = ProgramMeta(i).id;
-    if (skewed.OwnerOf(id) != h.cluster()->ring().OwnerOf(id)) misrouted = i;
+    if (h.cluster()->ring().OwnerOf(ProgramMeta(i).id) ==
+        h.cluster()->ShardName(1)) {
+      misrouted = i;
+    }
   }
-  ASSERT_GE(misrouted, 0) << "no digest disagrees between the two rings";
-  h.router()->SetRing(std::move(skewed));
+  ASSERT_GE(misrouted, 0) << "shard1 owns none of the probed digests";
+  h.router()->RemoveShard(h.cluster()->ShardName(1));
 
   EXPECT_TRUE(
       h.SubmitRating(session, ProgramMeta(misrouted), 9, "went the long way")
@@ -1069,26 +1067,21 @@ TEST(ClusterElastic, RouterChasesRedirectsIntoANewlyAddedShard) {
   h.router()->AddShard(*added);
   std::string session = h.Onboard("elastic-user");
 
-  // Skew the router with a 1-vnode ring over the same three members: where
-  // the skewed owner disagrees with the true ring, the wrong shard answers
-  // `ownership-moved` and the router must chase the redirect — here
-  // specifically into the shard that just joined.
-  HashRing skewed(1);
-  for (const auto& name : h.cluster()->ShardNames()) skewed.AddShard(name);
+  // Once the login has reached every shard, drop the newcomer from the
+  // router's ring, so it routes like a router not yet told about it: a
+  // digest the newcomer owns goes to its old owner, whose guard answers
+  // `ownership-moved` naming the newcomer, and the router must chase it.
+  h.router()->RemoveShard(*added);
   int moved = -1;
   for (int i = 0; i < 256 && moved < 0; ++i) {
-    const core::SoftwareId id = ProgramMeta(i).id;
-    if (h.cluster()->ring().OwnerOf(id) == *added &&
-        skewed.OwnerOf(id) != *added) {
-      moved = i;
-    }
+    if (h.cluster()->ring().OwnerOf(ProgramMeta(i).id) == *added) moved = i;
   }
-  ASSERT_GE(moved, 0) << "no program moved to the new shard under the skew";
-  h.router()->SetRing(std::move(skewed));
+  ASSERT_GE(moved, 0) << "no program moved to the new shard";
+  ASSERT_FALSE(h.router()->ring().Contains(*added));
 
-  EXPECT_TRUE(
-      h.SubmitRating(session, ProgramMeta(moved), 9, "chased into newcomer")
-          .ok());
+  Status voted =
+      h.SubmitRating(session, ProgramMeta(moved), 9, "chased into newcomer");
+  EXPECT_TRUE(voted.ok()) << voted.ToString();
   EXPECT_GE(h.router()->redirects_followed(), 1u);
   h.RunAggregation(util::kDay);
   auto score = h.cluster()->GetScore(ProgramMeta(moved).id);

@@ -467,6 +467,7 @@ TEST(StorageMetricsTest, ServerExportsWalCompactionMetrics) {
   server::ReputationServer::Config config;
   config.accounts.require_activation = false;
   config.metrics = &registry;
+  config.metrics_snapshot_period = util::kMinute;
   server::ReputationServer server(db->get(), &loop, config);
 
   ASSERT_TRUE(
@@ -513,6 +514,11 @@ TEST(StorageMetricsTest, ServerExportsWalCompactionMetrics) {
                                 core::kNoBehaviors, 0)
                   .ok());
   ASSERT_GT((*db)->FramesSinceCompaction(), before);
+  // The periodic snapshot log prints the registry as it stands at its
+  // tick, so the tick refreshes the storage series too, with no scrape.
+  loop.RunUntil(util::kMinute);
+  EXPECT_EQ(registry.GetGauge(frames_family)->Value(),
+            static_cast<std::int64_t>((*db)->FramesSinceCompaction()));
   EXPECT_EQ(sample(frames_family),
             std::to_string((*db)->FramesSinceCompaction()));
 
