@@ -23,6 +23,7 @@
 #include "util/random.h"
 #include "util/sha1.h"
 #include "util/sha256.h"
+#include "util/sha_ni.h"
 #include "util/string_util.h"
 #include "xml/xml_parser.h"
 #include "xml/xml_writer.h"
@@ -40,7 +41,25 @@ void BM_Sha1(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Sha1)->Arg(64)->Arg(4096)->Arg(1 << 20);
+// 128 KiB is near the mean fresh binary the client hashes in perfbench
+// `lookup`.
+BENCHMARK(BM_Sha1)->Arg(64)->Arg(4096)->Arg(128 << 10)->Arg(1 << 20);
+
+// The portable block routine Sha1 falls back to on CPUs without SHA-NI,
+// over the same bytes as whole blocks (no padding block).
+void BM_Sha1Scalar(benchmark::State& state) {
+  std::string data(static_cast<std::size_t>(state.range(0)), 'x');
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(data.data());
+  for (auto _ : state) {
+    std::uint32_t words[5] = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu,
+                              0x10325476u, 0xC3D2E1F0u};
+    util::internal::Sha1BlocksScalar(words, bytes, data.size() / 64);
+    benchmark::DoNotOptimize(words);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Sha1Scalar)->Arg(64)->Arg(4096)->Arg(128 << 10)->Arg(1 << 20);
 
 void BM_Sha256(benchmark::State& state) {
   std::string data(static_cast<std::size_t>(state.range(0)), 'x');

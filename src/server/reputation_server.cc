@@ -250,9 +250,11 @@ void ReputationServer::PublishSnapshot() {
 }
 
 void ReputationServer::UpdateStorageMetrics() {
-  if (wal_frames_gauge_ == nullptr) return;
-  wal_frames_gauge_->Set(
-      static_cast<std::int64_t>(db_->FramesSinceCompaction()));
+  // A disabled registry drops updates, so the baselines wait for it too.
+  if (wal_frames_gauge_ == nullptr || !config_.metrics->enabled()) return;
+  const auto frames = static_cast<std::int64_t>(db_->FramesSinceCompaction());
+  wal_frames_gauge_->Add(frames - wal_frames_exported_);
+  wal_frames_exported_ = frames;
   std::size_t compactions = db_->compactions();
   compactions_metric_->Increment(compactions - compactions_seen_);
   compactions_seen_ = compactions;
@@ -506,6 +508,12 @@ void ReputationServer::Stop() {
   aggregation_.CancelSchedule();
   snapshot_token_.reset();  // queued snapshot ticks become no-ops
   accounts_.DropSessions();
+  // A stopped server (a killed primary, a removed shard) leaves the summed
+  // frames gauge and exports nothing more.
+  if (wal_frames_gauge_ != nullptr) {
+    wal_frames_gauge_->Add(-wal_frames_exported_);
+    wal_frames_gauge_ = nullptr;
+  }
 }
 
 void ReputationServer::RegisterRpcMethods() {

@@ -186,7 +186,10 @@ class ReputationServer {
   /// Re-exports the pisrep_storage_* WAL-compaction metrics from the
   /// database's current counters. Called at construction, before every
   /// periodic snapshot log line, and by the web portal before every
-  /// `/metrics` render; no-op without a metrics registry.
+  /// `/metrics` render; no-op without a metrics registry or while it is
+  /// disabled. Both series sum over every server attached to the registry
+  /// (all shards of a cluster share one): each server adds the change since
+  /// its own last export, and Stop() takes its frames back out.
   void UpdateStorageMetrics();
 
   /// Submits a rating (registering the software from `meta` if new).
@@ -334,8 +337,9 @@ class ReputationServer {
   /// Liveness token for the snapshot-logger schedule (same pattern as the
   /// aggregation job): Stop() resets it and queued ticks become no-ops.
   std::shared_ptr<int> snapshot_token_;
-  /// Counter baseline for the monotonic compactions export (the
-  /// registry's counters only increment; the database reports a total).
+  /// Baselines for the summed storage exports: what this server last added
+  /// to the shared frames gauge and compactions counter.
+  std::int64_t wal_frames_exported_ = 0;
   std::size_t compactions_seen_ = 0;
 };
 

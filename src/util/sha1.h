@@ -23,7 +23,12 @@ struct Sha1Digest {
   friend auto operator<=>(const Sha1Digest&, const Sha1Digest&) = default;
 };
 
-/// Incremental SHA-1 hasher.
+/// Incremental SHA-1 hasher. It names every executable on the client's
+/// read path (the digest is computed while the launch waits), places keys
+/// on the cluster's hash ring and fingerprints anti-entropy rows. Whole
+/// 64-byte blocks compress straight from the caller's buffer through the
+/// SHA-NI instructions when the CPU has them (util/sha_ni.h), through the
+/// portable FIPS 180-1 routine otherwise; both give the same digest.
 ///
 /// Usage:
 ///   Sha1 h;
@@ -46,7 +51,9 @@ class Sha1 {
   static Sha1Digest Hash(std::string_view data);
 
  private:
-  void ProcessBlock(const std::uint8_t block[64]);
+  /// Absorbs `blocks` consecutive 64-byte blocks, dispatching to the
+  /// hardware (SHA-NI) compression when the CPU has it.
+  void ProcessBlocks(const std::uint8_t* data, std::size_t blocks);
 
   std::array<std::uint32_t, 5> state_;
   std::uint64_t total_bytes_;

@@ -3,15 +3,12 @@
 #include <cstring>
 
 #include "util/hex.h"
+#include "util/sha_ni.h"
 
 // Hardware compression (SHA-NI) is worth ~10x on the audit-chain hot paths
 // (one hash per accepted vote; a full re-hash per entry in tools/audit and
-// the anti-entropy sweep). Compiled only where the toolchain can emit the
-// instructions, selected at runtime via CPUID so the same binary still runs
-// on older cores through the scalar fallback.
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define PISREP_SHA256_X86 1
-#include <cpuid.h>
+// the anti-entropy sweep). util/sha_ni.h holds the gate.
+#ifdef PISREP_SHA_NI
 #include <immintrin.h>
 #endif
 
@@ -37,13 +34,58 @@ constexpr std::uint32_t kRoundConstants[64] = {
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 };
 
-#ifdef PISREP_SHA256_X86
+}  // namespace
 
-bool CpuHasShaNi() {
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
-  return (ebx & (1u << 29)) != 0;
+namespace internal {
+
+void Sha256BlocksScalar(std::uint32_t state[8], const std::uint8_t* data,
+                        std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(data[i * 4]) << 24) |
+             (static_cast<std::uint32_t>(data[i * 4 + 1]) << 16) |
+             (static_cast<std::uint32_t>(data[i * 4 + 2]) << 8) |
+             static_cast<std::uint32_t>(data[i * 4 + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      std::uint32_t s0 = RotR(w[i - 15], 7) ^ RotR(w[i - 15], 18) ^
+                         (w[i - 15] >> 3);
+      std::uint32_t s1 = RotR(w[i - 2], 17) ^ RotR(w[i - 2], 19) ^
+                         (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3],
+                  e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t s1 = RotR(e, 6) ^ RotR(e, 11) ^ RotR(e, 25);
+      std::uint32_t ch = (e & f) ^ ((~e) & g);
+      std::uint32_t tmp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      std::uint32_t s0 = RotR(a, 2) ^ RotR(a, 13) ^ RotR(a, 22);
+      std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      std::uint32_t tmp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + tmp1;
+      d = c;
+      c = b;
+      b = a;
+      a = tmp1 + tmp2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
 }
+
+#ifdef PISREP_SHA_NI
 
 /// FIPS 180-4 compression via the SHA-NI extension: two rounds per
 /// sha256rnds2, message schedule via sha256msg1/msg2. The state is kept in
@@ -51,8 +93,8 @@ bool CpuHasShaNi() {
 /// to the portable A..H word order on exit, so scalar and hardware paths
 /// are interchangeable mid-stream.
 __attribute__((target("sha,sse4.1")))
-void ProcessBlocksShaNi(std::uint32_t* state, const std::uint8_t* data,
-                        std::size_t blocks) {
+void Sha256BlocksShaNi(std::uint32_t state[8], const std::uint8_t* data,
+                       std::size_t blocks) {
   const __m128i kShuffle =
       _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
 
@@ -255,9 +297,9 @@ void ProcessBlocksShaNi(std::uint32_t* state, const std::uint8_t* data,
   _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), state1);
 }
 
-#endif  // PISREP_SHA256_X86
+#endif  // PISREP_SHA_NI
 
-}  // namespace
+}  // namespace internal
 
 std::string Sha256Digest::ToHex() const {
   return HexEncode(bytes.data(), bytes.size());
@@ -302,14 +344,13 @@ void Sha256::Update(const std::uint8_t* data, std::size_t len) {
 }
 
 void Sha256::ProcessBlocks(const std::uint8_t* data, std::size_t blocks) {
-#ifdef PISREP_SHA256_X86
-  static const bool kHasShaNi = CpuHasShaNi();
-  if (kHasShaNi) {
-    ProcessBlocksShaNi(state_.data(), data, blocks);
+#ifdef PISREP_SHA_NI
+  if (internal::CpuHasShaNi()) {
+    internal::Sha256BlocksShaNi(state_.data(), data, blocks);
     return;
   }
 #endif
-  for (std::size_t i = 0; i < blocks; ++i) ProcessBlock(data + i * 64);
+  internal::Sha256BlocksScalar(state_.data(), data, blocks);
 }
 
 Sha256Digest Sha256::Finish() {
@@ -337,50 +378,6 @@ Sha256Digest Sha256::Hash(std::string_view data) {
   Sha256 h;
   h.Update(data);
   return h.Finish();
-}
-
-void Sha256::ProcessBlock(const std::uint8_t block[64]) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
-           (static_cast<std::uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<std::uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    std::uint32_t s0 = RotR(w[i - 15], 7) ^ RotR(w[i - 15], 18) ^
-                       (w[i - 15] >> 3);
-    std::uint32_t s1 = RotR(w[i - 2], 17) ^ RotR(w[i - 2], 19) ^
-                       (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3],
-                e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t s1 = RotR(e, 6) ^ RotR(e, 11) ^ RotR(e, 25);
-    std::uint32_t ch = (e & f) ^ ((~e) & g);
-    std::uint32_t tmp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    std::uint32_t s0 = RotR(a, 2) ^ RotR(a, 13) ^ RotR(a, 22);
-    std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    std::uint32_t tmp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + tmp1;
-    d = c;
-    c = b;
-    b = a;
-    a = tmp1 + tmp2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 }  // namespace pisrep::util

@@ -41,7 +41,6 @@ class Sha256 {
   /// Absorbs `blocks` consecutive 64-byte blocks, dispatching to the
   /// hardware (SHA-NI) compression when the CPU has it.
   void ProcessBlocks(const std::uint8_t* data, std::size_t blocks);
-  void ProcessBlock(const std::uint8_t block[64]);
 
   std::array<std::uint32_t, 8> state_;
   std::uint64_t total_bytes_;

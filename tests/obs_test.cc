@@ -4,7 +4,9 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -456,6 +458,20 @@ TEST(ServerSnapshotMetricsTest, SnapshotAgeGaugeAndHitCountersAreWired) {
   EXPECT_EQ(server.stats().snapshot_hits, 1u);
 }
 
+/// The value of the unlabelled series `family` in the portal's /metrics
+/// text, as a scraper reads it.
+std::string Scrape(const web::WebPortal& portal, std::string_view family) {
+  auto text = portal.Handle("/metrics");
+  if (!text.ok()) return "unavailable";
+  std::string prefix = std::string(family) + " ";
+  for (std::string_view line : util::Split(*text, '\n')) {
+    if (util::StartsWith(line, prefix)) {
+      return std::string(line.substr(prefix.size()));
+    }
+  }
+  return "missing";
+}
+
 TEST(StorageMetricsTest, ServerExportsWalCompactionMetrics) {
   std::string wal_path = testing::TempDir() + "/pisrep_obs_storage_" +
                          std::to_string(::getpid()) + ".wal";
@@ -486,16 +502,8 @@ TEST(StorageMetricsTest, ServerExportsWalCompactionMetrics) {
   // The portal refreshes storage metrics on every /metrics render; nothing
   // here calls UpdateStorageMetrics by hand.
   web::WebPortal portal(&server);
-  auto sample = [&portal](std::string_view family) -> std::string {
-    auto text = portal.Handle("/metrics");
-    if (!text.ok()) return "unavailable";
-    std::string prefix = std::string(family) + " ";
-    for (std::string_view line : util::Split(*text, '\n')) {
-      if (util::StartsWith(line, prefix)) {
-        return std::string(line.substr(prefix.size()));
-      }
-    }
-    return "missing";
+  auto sample = [&portal](std::string_view family) {
+    return Scrape(portal, family);
   };
   const std::string frames_family =
       "pisrep_storage_wal_frames_since_compaction";
@@ -530,6 +538,76 @@ TEST(StorageMetricsTest, ServerExportsWalCompactionMetrics) {
   // new compaction must not double-count.
   EXPECT_EQ(sample(compactions_family), "1");
   std::remove(wal_path.c_str());
+}
+
+TEST(StorageMetricsTest, WalFramesGaugeSumsEveryShardBehindThePortal) {
+  // Two WAL-backed shards share one registry, as every shard of a cluster
+  // does, and one portal serves /metrics over both.
+  net::EventLoop loop;
+  MetricsRegistry registry;
+  std::vector<std::string> wal_paths;
+  std::vector<std::unique_ptr<storage::Database>> dbs;
+  std::vector<std::unique_ptr<server::ReputationServer>> servers;
+  for (int shard = 0; shard < 2; ++shard) {
+    wal_paths.push_back(testing::TempDir() + "/pisrep_obs_shard" +
+                        std::to_string(shard) + "_" +
+                        std::to_string(::getpid()) + ".wal");
+    std::remove(wal_paths.back().c_str());
+    auto db = storage::Database::Open(wal_paths.back());
+    ASSERT_TRUE(db.ok());
+    dbs.push_back(std::move(db).value());
+    server::ReputationServer::Config config;
+    config.accounts.require_activation = false;
+    config.metrics = &registry;
+    servers.push_back(std::make_unique<server::ReputationServer>(
+        dbs.back().get(), &loop, config));
+    server::ReputationServer& server = *servers.back();
+    ASSERT_TRUE(
+        server.accounts().Register("ada", "password", "a@obs.example", 0).ok());
+  }
+  // Shard i takes i + 1 ratings, so the two frame counts differ.
+  auto rate = [&servers](int shard, const std::string& program) {
+    server::ReputationServer& server = *servers[shard];
+    auto session = server.Login("ada", "password", 0);
+    ASSERT_TRUE(session.ok());
+    core::SoftwareMeta meta;
+    meta.id = util::Sha1::Hash(program);
+    meta.file_name = program + ".exe";
+    meta.file_size = 1;
+    meta.version = "1.0";
+    ASSERT_TRUE(
+        server.SubmitRating(*session, meta, 8, "solid", core::kNoBehaviors, 0)
+            .ok());
+  };
+  rate(0, "shard0-app");
+  rate(1, "shard1-app");
+  rate(1, "shard1-app-2");
+
+  web::WebPortal portal([&servers] {
+    std::vector<server::ReputationServer*> live;
+    for (auto& server : servers) live.push_back(server.get());
+    return live;
+  });
+  const std::string family = "pisrep_storage_wal_frames_since_compaction";
+  auto frames = [&dbs](int shard) {
+    return dbs[shard]->FramesSinceCompaction();
+  };
+  ASSERT_GT(frames(0), 0u);
+  ASSERT_NE(frames(0), frames(1));
+  EXPECT_EQ(Scrape(portal, family), std::to_string(frames(0) + frames(1)));
+
+  // Compacting one shard resets only its share, which then grows again.
+  ASSERT_TRUE(dbs[0]->Compact().ok());
+  rate(0, "shard0-app-2");
+  EXPECT_EQ(Scrape(portal, family), std::to_string(frames(0) + frames(1)));
+
+  // A stopped server (a removed shard, a killed primary) takes its share
+  // out of the sum.
+  servers.back()->Stop();
+  servers.pop_back();
+  EXPECT_EQ(Scrape(portal, family), std::to_string(frames(0)));
+
+  for (const std::string& path : wal_paths) std::remove(path.c_str());
 }
 
 }  // namespace
